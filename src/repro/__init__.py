@@ -7,8 +7,10 @@ both systems *and every substrate they stand on* in pure Python:
 
 * :mod:`repro.geometry` — geometry model, WKT/WKB, predicates, and two
   refinement engines reproducing the paper's JTS-vs-GEOS axis;
-* :mod:`repro.index` — STR-packed and dynamic R-trees, grid, quadtree,
-  spatial partitioners;
+* :mod:`repro.index` — the STR-packed R-tree, Morton codes and spatial
+  partitioners;
+* :mod:`repro.columnar` — the packed-buffer geometry data plane every
+  join runs on;
 * :mod:`repro.hdfs` — a block-oriented simulated HDFS;
 * :mod:`repro.spark` — a mini-Spark: lazy RDDs, DAG scheduler, shuffles,
   broadcast, dynamic task placement;

@@ -1,8 +1,8 @@
 """Columnar data plane benchmark: packed buffers vs the object path.
 
 Measures the three stages the columnar plane (DESIGN.md section 13)
-accelerates, each against the exact code the ``columnar=False`` oracle
-runs:
+accelerates, each against the object-path code it replaced (still the
+fallback for input the column model cannot hold):
 
 - **load** — bulk WKT parsing (:func:`repro.columnar.column_from_wkt`,
   one regex capture + one vectorised strtod) vs one

@@ -6,8 +6,8 @@ paths.  This module measures the one thing that does change: real Python
 wall-clock.  It times the scalar probe loop (R-tree query + per-candidate
 refinement per point) against the columnar path (one Morton-sorted bulk
 index probe + one numpy kernel call per build geometry) on a taxi-vs-NYCB
-style workload, and cross-checks that every join method on both
-substrates returns byte-identical pairs with batching on or off.
+style workload, and cross-checks every join method on both substrates
+against the nested-loop (``method="naive"``) ground truth.
 
 Run it with ``python -m repro.bench kernels``; the committed
 ``BENCH_kernels.json`` at the repo root is this benchmark's output.
@@ -24,9 +24,10 @@ from repro.bench.workloads import WORKLOADS, materialize
 from repro.core.broadcast_join import broadcast_spatial_join
 from repro.core.operators import SpatialOperator
 from repro.core.partitioned_join import derive_partitioning, partitioned_spatial_join
-from repro.core.probe import BroadcastIndex
+from repro.core.probe import BroadcastIndex, naive_spatial_join
 from repro.data.catalog import DATASETS, load_dataset
 from repro.errors import BenchError
+from repro.geometry.wkt import loads as wkt_loads
 from repro.impala.catalog import ColumnType
 from repro.impala.coordinator import ImpalaBackend
 from repro.impala.parser import parse as parse_sql
@@ -100,9 +101,7 @@ def _spark_context(mat) -> SparkContext:
     return SparkContext(ClusterSpec(2, 2), hdfs=mat.hdfs)
 
 
-def _spark_pairs(
-    mat, method: str, batch_refine: bool, partitioning
-) -> tuple[list, str]:
+def _spark_pairs(mat, method: str, partitioning) -> tuple[list, str]:
     sc = _spark_context(mat)
     left = sc.parallelize(mat.left.records, 4)
     right = sc.parallelize(mat.right.records, 4)
@@ -125,16 +124,15 @@ def _spark_pairs(
             operator,
             radius=mat.radius,
             partitioning=partitioning,
-            batch_refine=batch_refine,
         ).collect()
     else:
         pairs = broadcast_spatial_join(
-            sc, left, right, operator, radius=mat.radius, batch_refine=batch_refine
+            sc, left, right, operator, radius=mat.radius
         ).collect()
     return sorted(pairs), resolved
 
 
-def _impala_pairs(mat, method: str, batch_refine: bool) -> tuple[list, str]:
+def _impala_pairs(mat, method: str) -> tuple[list, str]:
     from repro.cluster.model import ClusterSpec
 
     backend = ImpalaBackend(
@@ -142,7 +140,6 @@ def _impala_pairs(mat, method: str, batch_refine: bool) -> tuple[list, str]:
         hdfs=mat.hdfs,
         engine="fast",
         build_cost_weight=mat.build_cost_weight,
-        batch_refine=batch_refine,
     )
     schema = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
     left_name = f"kern_left_{mat.left.name}"
@@ -163,39 +160,51 @@ def _impala_pairs(mat, method: str, batch_refine: bool) -> tuple[list, str]:
     return sorted(result.rows), resolved
 
 
+def _naive_pairs(mat, left, right) -> list:
+    """Ground truth: the nested-loop join, sorted."""
+    return sorted(
+        naive_spatial_join(left, right, mat.workload.operator, mat.radius)
+    )
+
+
+def _parsed(dataset) -> list:
+    """``dataset`` as the Impala scanners read it: ids and WKT off its lines."""
+    rows = (line.split("\t") for line in dataset.to_lines())
+    return [(int(record_id), wkt_loads(text)) for record_id, text in rows]
+
+
 def _equivalence_matrix(scale: float) -> dict[str, Any]:
-    """batch == scalar, pair for pair, on every method x substrate."""
+    """Every method x substrate against ``method="naive"``, pair for pair.
+
+    Spark joins the in-memory records; Impala joins the WKT text files,
+    whose coordinates are rounded, so each substrate gets the ground
+    truth of its own input.
+    """
     cases = []
     for workload_name in ("taxi-nycb", "taxi-lion-100"):
         mat = materialize(workload_name, scale=scale)
         partitioning = derive_partitioning(
             _spark_context(mat).parallelize(mat.left.records, 4), num_tiles=4
         )
+        truth = {
+            "spark": _naive_pairs(mat, mat.left.records, mat.right.records),
+            "impala": _naive_pairs(mat, _parsed(mat.left), _parsed(mat.right)),
+        }
         for method in ("broadcast", "partitioned", "auto"):
-            batch, resolved = _spark_pairs(mat, method, True, partitioning)
-            scalar, _ = _spark_pairs(mat, method, False, partitioning)
-            cases.append(
-                {
-                    "workload": workload_name,
-                    "substrate": "spark",
-                    "method": method,
-                    "resolved": resolved,
-                    "pairs": len(batch),
-                    "identical": batch == scalar,
-                }
-            )
-            batch, resolved = _impala_pairs(mat, method, True)
-            scalar, _ = _impala_pairs(mat, method, False)
-            cases.append(
-                {
-                    "workload": workload_name,
-                    "substrate": "impala",
-                    "method": method,
-                    "resolved": resolved,
-                    "pairs": len(batch),
-                    "identical": batch == scalar,
-                }
-            )
+            for substrate, (pairs, resolved) in (
+                ("spark", _spark_pairs(mat, method, partitioning)),
+                ("impala", _impala_pairs(mat, method)),
+            ):
+                cases.append(
+                    {
+                        "workload": workload_name,
+                        "substrate": substrate,
+                        "method": method,
+                        "resolved": resolved,
+                        "pairs": len(pairs),
+                        "identical": pairs == truth[substrate],
+                    }
+                )
     return {
         "scale": scale,
         "cases": cases,
@@ -257,7 +266,7 @@ def render_kernels(doc: dict[str, Any]) -> str:
     eq = doc["equivalence"]
     lines.append("")
     lines.append(
-        f"Equivalence matrix (scale {eq['scale']}): "
+        f"Equivalence matrix vs naive ground truth (scale {eq['scale']}): "
         f"{'all identical' if eq['all_identical'] else 'MISMATCH'}"
     )
     for case in eq["cases"]:

@@ -71,7 +71,6 @@ def run_spatialspark(
     engine: str = "fast",
     num_partitions: int | None = None,
     profile: bool = False,
-    batch_refine: bool = True,
     executors: int | str | None = None,
     events_out: str | None = None,
     runtime: RuntimeConfig | None = None,
@@ -97,7 +96,6 @@ def run_spatialspark(
         radius=mat.radius,
         engine=engine,
         build_cost_weight=mat.build_cost_weight,
-        batch_refine=batch_refine,
     )
     count = pairs.count()
     sc.close_events()
@@ -133,7 +131,6 @@ def run_ispmc(
     engine: str = "slow",
     assignment: str = "round_robin",
     profile: bool = False,
-    batch_refine: bool = True,
     batch_size: int | None = None,
     executors: int | str | None = None,
     events_out: str | None = None,
@@ -147,7 +144,6 @@ def run_ispmc(
         engine=engine,
         assignment=assignment,
         build_cost_weight=mat.build_cost_weight,
-        batch_refine=batch_refine,
         batch_size=batch_size,
         executors=executors,
         events_out=events_out,
@@ -216,7 +212,6 @@ def run_engine(
     scale: float = 0.1,
     cost_model: CostModel | None = None,
     profile: bool = False,
-    batch_refine: bool = True,
     executors: int | str | None = None,
     events_out: str | None = None,
     runtime: RuntimeConfig | None = None,
@@ -229,8 +224,7 @@ def run_engine(
             num_nodes,
             cost_model,
             profile=profile,
-            batch_refine=batch_refine,
-            executors=executors,
+                executors=executors,
             events_out=events_out,
             runtime=runtime,
         )
@@ -240,8 +234,7 @@ def run_engine(
             num_nodes,
             cost_model,
             profile=profile,
-            batch_refine=batch_refine,
-            executors=executors,
+                executors=executors,
             events_out=events_out,
             runtime=runtime,
         )

@@ -6,10 +6,12 @@ Partition slices are O(1) index arrays into the shared buffers; the
 versioned binary encoding (``to_bytes``/``from_bytes``) is what ships
 across simulated shuffles and process pools.
 
-The object path remains the reference oracle: every columnar code path
-is required to produce byte-identical results (pairs, order, counters,
-simulated seconds, profiles, events) and is gated by the ``columnar=``
-knob on ``JoinConfig``/``RuntimeConfig``.
+This is the only data plane: joins pack their inputs whenever the
+column model can hold them, and fall back to geometry objects only for
+input it cannot (a ``GeometryCollection``, say).  Either way results are
+byte-identical (pairs, order, counters, simulated seconds, profiles,
+events); the object-plane reference the tests compare against lives in
+``tests/``.
 """
 
 from .block import ColumnBlock

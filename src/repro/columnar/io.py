@@ -32,8 +32,8 @@ def column_from_wkt(
     """Parse WKT strings into a :class:`GeometryColumn` in bulk.
 
     Returns ``None`` when a geometry type outside the columnar model
-    (e.g. ``GEOMETRYCOLLECTION``) appears; malformed WKT raises, exactly
-    like the scalar reader.
+    (e.g. ``GEOMETRYCOLLECTION``) appears; malformed WKT, and points with
+    a NaN or infinite coordinate, raise exactly like the scalar reader.
     """
     texts = list(texts)
     n = len(texts)
@@ -45,8 +45,8 @@ def column_from_wkt(
             break
         tokens.append(match.group(1))
         tokens.append(match.group(2))
-    if tokens is not None:
-        values = np.asarray(tokens, dtype=np.float64)
+    values = np.asarray(tokens, dtype=np.float64) if tokens is not None else None
+    if values is not None and np.isfinite(values).all():
         coords = np.ascontiguousarray(values.reshape(n, 2))
         payload_list = list(payloads) if payloads is not None else [None] * n
         if len(payload_list) != n:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Sequence as _SequenceABC
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
@@ -69,11 +70,9 @@ class JoinConfig:
     ``num_tiles``/``skew_factor``/``sample_size`` tune the partitioned
     plan's skew-aware tiling.
 
-    ``batch_refine`` toggles the columnar batch execution path (bulk
-    index probes + vectorized refinement kernels); results are identical
-    either way.  ``batch_size`` is the row-batch granularity shared with
-    the Impala substrate (how many probes each batched kernel dispatch
-    covers); it must be positive.
+    ``batch_size`` is the row-batch granularity shared with the Impala
+    substrate: how many probes each batched kernel dispatch (and each
+    probe task) covers.  It must be a positive integer.
 
     ``executors`` is the *real*-parallelism knob: ``"serial"`` (default)
     runs everything inline; an int >= 1 dispatches probe chunks / tile
@@ -94,14 +93,6 @@ class JoinConfig:
     rule: an explicit ``runtime`` wins over the loose ``executors`` /
     ``events_out`` fields; when ``runtime`` is ``None`` those fields are
     packed into an implicit one and behave exactly as before.
-
-    ``columnar`` (default on) runs the packed-buffer geometry data plane
-    (DESIGN.md §13): bulk column construction, array-sorted STR builds,
-    coordinate-buffer probe kernels.  ``columnar=False`` selects the
-    object path, which is the byte-identical reference oracle — pairs,
-    counters, profiles, simulated seconds and events match exactly either
-    way.  An explicit ``runtime`` carries its own ``columnar`` flag, which
-    wins (same precedence as ``executors``).
 
     ``explain`` selects the plan-introspection surface (DESIGN.md §15):
     ``"off"`` (default) adds nothing; ``"plan"`` attaches an estimate-only
@@ -127,20 +118,18 @@ class JoinConfig:
     skew_factor: float = 2.0
     sample_size: int | None = None
     batch_size: int = 1024
-    batch_refine: bool = True
     executors: int | str = "serial"
     events_out: str | None = None
     runtime: RuntimeConfig | None = None
-    columnar: bool = True
     explain: str = "off"
     explain_ratio: float = 4.0
     calibration_out: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ReproError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
+        for name in ("batch_size", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ReproError(f"{name} must be a positive integer, got {value!r}")
         if self.explain not in ("off", "plan", "analyze"):
             raise ReproError(
                 f"explain must be 'off', 'plan' or 'analyze', got {self.explain!r}"
@@ -154,18 +143,12 @@ class JoinConfig:
             raise ReproError(
                 f"runtime must be a RuntimeConfig, got {type(self.runtime).__name__}"
             )
-        if not isinstance(self.columnar, bool):
-            raise ReproError(f"columnar must be a bool, got {self.columnar!r}")
 
     def resolved_runtime(self) -> RuntimeConfig:
         """The effective runtime policy (explicit ``runtime`` wins)."""
         if self.runtime is not None:
             return self.runtime
-        return RuntimeConfig(
-            executors=self.executors,
-            events_out=self.events_out,
-            columnar=self.columnar,
-        )
+        return RuntimeConfig(executors=self.executors, events_out=self.events_out)
 
     def with_(self, **changes) -> "JoinConfig":
         """A copy with the given fields replaced."""
@@ -268,7 +251,14 @@ def _normalise(
     metrics: TaskMetrics | None = None,
 ) -> list[tuple[Any, Geometry]]:
     normalised = []
-    for payload, geometry in entries:
+    for entry in entries:
+        try:
+            payload, geometry = entry
+        except (TypeError, ValueError):
+            raise ReproError(
+                f"expected (id, geometry) pairs, got {type(entry).__name__}"
+                f" {entry!r}"
+            ) from None
         if isinstance(geometry, str):
             if metrics is not None:
                 metrics.add(Resource.WKT_BYTES, float(len(geometry)))
@@ -325,27 +315,6 @@ def _broadcast_index_key(right_entries, op, cfg):
     )
 
 
-def _use_columnar(cfg: JoinConfig) -> bool:
-    """The effective ``columnar`` knob (explicit runtime wins)."""
-    return cfg.resolved_runtime().columnar
-
-
-def _make_index(right_entries, op, cfg):
-    """One broadcast index, via the columnar bulk path when enabled.
-
-    Both constructors produce byte-identical indexes (tree structure,
-    entry order, counters); the column path only changes how the build
-    runs (array STR sort, no per-entry envelope walking).
-    """
-    if _use_columnar(cfg):
-        column = GeometryColumn.from_entries(right_entries)
-        if column is not None:
-            return BroadcastIndex.from_column(
-                column, op, radius=cfg.radius, engine=cfg.engine
-            )
-    return BroadcastIndex(right_entries, op, radius=cfg.radius, engine=cfg.engine)
-
-
 def _build_broadcast_index(right_entries, op, cfg, cache, key=None):
     """Build the broadcast index, or reuse a cache-resident one.
 
@@ -355,12 +324,16 @@ def _build_broadcast_index(right_entries, op, cfg, cache, key=None):
     STR-tree construction wall-clock is saved.
     """
     if cache is None:
-        return _make_index(right_entries, op, cfg)
+        return BroadcastIndex.build(
+            right_entries, op, radius=cfg.radius, engine=cfg.engine
+        )
     if key is None:
         key = _broadcast_index_key(right_entries, op, cfg)
     index = cache.get(key, "broadcast-index")
     if index is None:
-        index = _make_index(right_entries, op, cfg)
+        index = BroadcastIndex.build(
+            right_entries, op, radius=cfg.radius, engine=cfg.engine
+        )
         cache.put(key, "broadcast-index", index,
                   size_bytes=estimate_index_bytes(index),
                   build_cost=sum(index.build_cost_units().values()))
@@ -735,176 +708,96 @@ def _emit_task_end(log, events_ctx, index, label, partition, sim_seconds, counte
     )
 
 
-def _totals_seconds(totals, model) -> float:
-    """Simulated seconds of one probe chunk's cost-unit totals."""
-    task = TaskMetrics()
-    for resource, amount in totals.items():
-        task.add(resource, amount)
-    return task.seconds(model)
-
-
-def _probe_pool(cfg: JoinConfig, recovery: RecoveryContext | None = None):
-    """The probe-chunk pool, or None when the serial path should run.
-
-    Pooled probing needs the batch path (chunks are the task granularity)
-    and fork-style closure dispatch (the index rides into workers free).
-    With a fault plan active, chunked dispatch *always* runs — a
-    :class:`SerialBackend` stands in when no real pool is available — so
-    the injection/recovery logic exercises the same code path at every
-    executor count.  (Chaos only applies to the chunked paths; the
-    row-at-a-time ``batch_refine=False`` loop has no task granularity to
-    fault and runs normally.)
-    """
-    if not cfg.batch_refine:
+def _submit_stage(events_query, name: str, num_tasks: int):
+    """Emit StageSubmitted; returns the ``(query, stage)`` pair its tasks
+    tag their events with, or None when the event log is off."""
+    log = get_event_log()
+    if events_query is None or not log.enabled:
         return None
+    stage = log.next_id("stage")
+    log.emit(
+        "StageSubmitted",
+        query=events_query,
+        stage=stage,
+        name=name,
+        num_tasks=num_tasks,
+    )
+    return events_query, stage
+
+
+def _task_pool(cfg: JoinConfig):
+    """The pool join tasks run on: the executors pool, or an inline
+    :class:`SerialBackend` when that pool is serial or cannot run
+    closures (tasks read the fork-inherited index and columns)."""
     pool = make_pool(cfg.resolved_runtime().executors)
     if pool.is_serial or not pool.supports_closures:
-        if recovery is not None and recovery.active:
-            return SerialBackend()
-        return None
+        return SerialBackend()
     return pool
 
 
-def _probe_chunks_pooled(
-    pool, index, left_entries, cfg, model=None, events_ctx=None, recovery=None,
-    left_column=None,
-):
-    """Probe ``batch_size`` chunks on the pool; (pairs, totals, capture)
-    per chunk.
+def _run_join_tasks(pool, tasks, model, events_ctx, recovery, scope):
+    """Run ``tasks`` on ``pool``; returns their (pairs, TaskMetrics) in order.
 
-    Pure fan-out: each task reads the fork-inherited index and its chunk,
-    returning the chunk's matching pairs plus its cost-unit totals.  The
-    caller consumes the ordered results exactly as the serial chunk loop
-    would have produced them.  With the event log on (``events_ctx`` is a
-    ``(query, stage)`` pair) the worker frames its chunk in TaskStart /
-    TaskEnd and ships the buffered events back in an :class:`ObsCapture`;
-    otherwise the capture slot is ``None`` and nothing changes.  With a
-    ``left_column`` the probe reads a zero-copy column slice instead of
-    the chunk's geometry objects (identical matches and totals).
+    ``tasks`` are ``(label, partition, body)`` triples whose ``body()``
+    returns the task's pairs and the :class:`TaskMetrics` it accrued.
+    With the event log on (``events_ctx`` is a ``(query, stage)`` pair)
+    each task is framed in TaskStart / TaskEnd; a pool worker buffers
+    those in an :class:`ObsCapture` the driver replays in task order.
+    Under an active fault plan the tasks go through
+    :func:`run_recovered` on whatever pool runs them, the inline one
+    included, and always buffer their events, so injection, recovery
+    and the event stream are the same at every executor count.
     """
-    starts = list(range(0, len(left_entries), cfg.batch_size))
-    chunks = [left_entries[start : start + cfg.batch_size] for start in starts]
+    chaos = recovery is not None and recovery.active
+    ship = events_ctx is not None and (chaos or not pool.is_serial)
 
-    def make_task(task_index, chunk):
-        if left_column is not None:
-            start = starts[task_index]
-            probe_input = left_column.slice(start, start + cfg.batch_size)
-        else:
-            probe_input = None
-
-        def probe_chunk():
-            if probe_input is not None:
-                matches_per_row, totals = index.probe_batch(probe_input)
-            else:
-                matches_per_row, totals = index.probe_batch(g for _, g in chunk)
-            chunk_pairs = []
-            for (left_id, _), matches in zip(chunk, matches_per_row):
-                chunk_pairs.extend((left_id, right_id) for right_id in matches)
-            return chunk_pairs, totals
-
-        if events_ctx is None:
-
-            def run_plain():
-                chunk_pairs, totals = probe_chunk()
-                return chunk_pairs, totals, None
-
-            return run_plain
-
-        def run_with_events():
-            capture = ObsCapture()
-            with capture_observability(capture):
+    def make_thunk(task_index, label, partition, body):
+        def run():
+            capture = ObsCapture() if ship else None
+            with capture_observability(capture) if ship else nullcontext():
                 log = get_event_log()
-                label = f"chunk-{task_index}"
-                _emit_task_start(log, events_ctx, task_index, label, task_index)
-                chunk_pairs, totals = probe_chunk()
-                _emit_task_end(
-                    log, events_ctx, task_index, label, task_index,
-                    _totals_seconds(totals, model), dict(totals),
-                )
-            return chunk_pairs, totals, capture
+                if events_ctx is not None:
+                    _emit_task_start(log, events_ctx, task_index, label, partition)
+                pairs, task = body()
+                if events_ctx is not None:
+                    _emit_task_end(
+                        log, events_ctx, task_index, label, partition,
+                        task.seconds(model), dict(task.counts),
+                    )
+            return pairs, task, capture
 
-        return run_with_events
+        return run
 
-    thunks = [make_task(task_index, chunk) for task_index, chunk in enumerate(chunks)]
-    if recovery is not None and recovery.active:
+    thunks = [make_thunk(index, *task) for index, task in enumerate(tasks)]
+    if chaos:
         outcomes = run_recovered(
             pool,
             thunks,
             recovery,
-            scope="spatial-join:probe",
+            scope=scope,
             events=events_ctx,
-            sim_seconds=lambda index_, value: _totals_seconds(value[1], model),
+            sim_seconds=lambda index_, value: value[1].seconds(model),
         )
-        return [outcome.value for outcome in outcomes]
-    return pool.run(thunks)
+        results = [outcome.value for outcome in outcomes]
+    else:
+        results = pool.run(thunks)
+    for _, _, capture in results:
+        if capture is not None:
+            apply_capture(capture)
+    return [(pairs, task) for pairs, task, _ in results]
 
 
 def _broadcast_join(
     left_entries, right_entries, op, cfg, model, query, events_query=None,
     recovery=None, cache=None, cache_key=None,
 ):
-    """The paper's broadcast join: index the right side, probe with the
-    left.  With profiling on, build/probe become exactly-billed stages."""
+    """The paper's broadcast join: index the right side, then probe it
+    with the left side in ``batch_size`` chunks, one task per chunk.
+    With profiling on, build and probe become exactly-billed stages."""
     tracer = get_tracer()
-    pairs: list[tuple[Any, Any]] = []
-    pool = _probe_pool(cfg, recovery)
-    left_column = None
-    if cfg.batch_refine and _use_columnar(cfg):
-        # One packed column over the probe side; every chunk below is a
-        # zero-copy slice of it.
-        left_column = GeometryColumn.from_entries(left_entries)
-    log = get_event_log()
-    events_ctx = None
-    if events_query is not None and log.enabled and cfg.batch_refine:
-        num_chunks = (len(left_entries) + cfg.batch_size - 1) // cfg.batch_size
-        events_stage = log.next_id("stage")
-        log.emit(
-            "StageSubmitted",
-            query=events_query,
-            stage=events_stage,
-            name="probe",
-            num_tasks=num_chunks,
-        )
-        events_ctx = (events_query, events_stage)
-    if query is None:
-        index = _build_broadcast_index(right_entries, op, cfg, cache, cache_key)
-        if pool is not None:
-            for chunk_pairs, _, capture in _probe_chunks_pooled(
-                pool, index, left_entries, cfg, model, events_ctx, recovery,
-                left_column=left_column,
-            ):
-                if capture is not None:
-                    apply_capture(capture)
-                pairs.extend(chunk_pairs)
-        elif cfg.batch_refine:
-            for task_index, start in enumerate(
-                range(0, len(left_entries), cfg.batch_size)
-            ):
-                chunk = left_entries[start : start + cfg.batch_size]
-                if events_ctx is not None:
-                    _emit_task_start(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index
-                    )
-                if left_column is not None:
-                    matches_per_row, totals = index.probe_batch(
-                        left_column.slice(start, start + cfg.batch_size)
-                    )
-                else:
-                    matches_per_row, totals = index.probe_batch(g for _, g in chunk)
-                if events_ctx is not None:
-                    _emit_task_end(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index,
-                        _totals_seconds(totals, model), dict(totals),
-                    )
-                for (left_id, _), matches in zip(chunk, matches_per_row):
-                    pairs.extend((left_id, right_id) for right_id in matches)
-        else:
-            for left_id, geometry in left_entries:
-                pairs.extend(
-                    (left_id, right_id) for right_id in index.probe(geometry)
-                )
-        return pairs
-
+    size = cfg.batch_size
+    starts = range(0, len(left_entries), size)
+    events_ctx = _submit_stage(events_query, "probe", len(starts))
     build_metrics = TaskMetrics()
     with tracer.span("build", category="phase") as span:
         # The build stage charges index.build_cost_units() whether the
@@ -915,53 +808,51 @@ def _broadcast_join(
             build_metrics.add(resource, amount)
         span.add_sim(build_metrics.seconds(model))
         span.set_attr("index_entries", len(index))
-    _add_stage(query, "build", [build_metrics], model)
+    if query is not None:
+        _add_stage(query, "build", [build_metrics], model)
 
+    # One packed column over the probe side; each chunk probes a
+    # zero-copy slice of it, or its geometry objects when unpackable.
+    left_column = GeometryColumn.from_entries(left_entries)
+
+    def make_body(start):
+        chunk = left_entries[start : start + size]
+        if left_column is not None:
+            probe_input = left_column.slice(start, start + size)
+        else:
+            probe_input = [geometry for _, geometry in chunk]
+
+        def probe_chunk():
+            matches_per_row, totals = index.probe_batch(probe_input)
+            task = TaskMetrics()
+            for resource, amount in totals.items():
+                task.add(resource, amount)
+            chunk_pairs = [
+                (left_id, right_id)
+                for (left_id, _), matches in zip(chunk, matches_per_row)
+                for right_id in matches
+            ]
+            return chunk_pairs, task
+
+        return probe_chunk
+
+    tasks = [
+        (f"chunk-{task_index}", task_index, make_body(start))
+        for task_index, start in enumerate(starts)
+    ]
+    pairs: list[tuple[Any, Any]] = []
     probe_metrics = TaskMetrics()
     with tracer.span("probe", category="phase") as span:
-        if pool is not None:
-            for chunk_pairs, totals, capture in _probe_chunks_pooled(
-                pool, index, left_entries, cfg, model, events_ctx, recovery,
-                left_column=left_column,
-            ):
-                if capture is not None:
-                    apply_capture(capture)
-                for resource, amount in totals.items():
-                    probe_metrics.add(resource, amount)
-                pairs.extend(chunk_pairs)
-        elif cfg.batch_refine:
-            for task_index, start in enumerate(
-                range(0, len(left_entries), cfg.batch_size)
-            ):
-                chunk = left_entries[start : start + cfg.batch_size]
-                if events_ctx is not None:
-                    _emit_task_start(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index
-                    )
-                if left_column is not None:
-                    matches_per_row, totals = index.probe_batch(
-                        left_column.slice(start, start + cfg.batch_size)
-                    )
-                else:
-                    matches_per_row, totals = index.probe_batch(g for _, g in chunk)
-                if events_ctx is not None:
-                    _emit_task_end(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index,
-                        _totals_seconds(totals, model), dict(totals),
-                    )
-                for resource, amount in totals.items():
-                    probe_metrics.add(resource, amount)
-                for (left_id, _), matches in zip(chunk, matches_per_row):
-                    pairs.extend((left_id, right_id) for right_id in matches)
-        else:
-            for left_id, geometry in left_entries:
-                matches, units = index.probe_with_cost(geometry)
-                for resource, amount in units.items():
-                    probe_metrics.add(resource, amount)
-                pairs.extend((left_id, right_id) for right_id in matches)
+        for chunk_pairs, task in _run_join_tasks(
+            _task_pool(cfg), tasks, model, events_ctx, recovery,
+            "spatial-join:probe",
+        ):
+            probe_metrics.merge(task)
+            pairs.extend(chunk_pairs)
         span.add_sim(probe_metrics.seconds(model))
         span.set_attr("rows_out", len(pairs))
-    _add_stage(query, "probe", [probe_metrics], model)
+    if query is not None:
+        _add_stage(query, "probe", [probe_metrics], model)
     return pairs
 
 
@@ -1025,47 +916,27 @@ def _record_bytes(geometry: Geometry) -> float:
 
 
 def _join_one_tile(
-    tile_id, tile_left, tile_right, tiles, op, cfg, task, expand,
-    tile_left_column=None, tile_right_column=None,
+    tile_id, tile_left, left_probe, right_source, tiles, op, cfg, task, expand,
 ):
     """Index-join one tile, owner-rule deduped; accrues costs into ``task``.
 
     This is the partitioned join's task granularity — the unit the
     executors pool fans out — so it must stay free of driver-global side
-    effects (it only touches its own ``TaskMetrics``).  The optional tile
-    columns are zero-copy slices of the whole-side columns; with them the
-    build and probe read packed buffers instead of the per-tile object
-    lists (identical pairs and charges).
+    effects (it only touches its own ``TaskMetrics``).  ``left_probe`` is
+    what :meth:`BroadcastIndex.probe_batch` reads for ``tile_left`` and
+    ``right_source`` what :meth:`BroadcastIndex.build` indexes: zero-copy
+    slices of the whole-side columns, or the tile's objects when a side
+    could not be packed.
     """
-    if tile_right_column is not None:
-        index = BroadcastIndex.from_column(
-            tile_right_column, op, radius=cfg.radius, engine=cfg.engine
-        )
-    else:
-        index = BroadcastIndex(
-            ((pair, pair[1]) for pair in tile_right),
-            op,
-            radius=cfg.radius,
-            engine=cfg.engine,
-        )
+    index = BroadcastIndex.build(
+        right_source, op, radius=cfg.radius, engine=cfg.engine
+    )
     task.add(Resource.INDEX_BUILD, float(len(index)))
-    if cfg.batch_refine:
-        if tile_left_column is not None:
-            matches_per_row, totals = index.probe_batch(tile_left_column)
-        else:
-            matches_per_row, totals = index.probe_batch(g for _, g in tile_left)
-        for resource, amount in totals.items():
-            task.add(resource, amount)
-    else:
-        matches_per_row = None
+    matches_per_row, totals = index.probe_batch(left_probe)
+    for resource, amount in totals.items():
+        task.add(resource, amount)
     tile_pairs: list[tuple[Any, Any]] = []
-    for row, (left_id, geometry) in enumerate(tile_left):
-        if matches_per_row is not None:
-            matches = matches_per_row[row]
-        else:
-            matches, units = index.probe_with_cost(geometry)
-            for resource, amount in units.items():
-                task.add(resource, amount)
+    for (left_id, geometry), matches in zip(tile_left, matches_per_row):
         left_tiles = None
         for right_id, right_geometry in matches:
             if left_tiles is None:
@@ -1148,25 +1019,23 @@ def _partitioned_join_local(
     shuffle_metrics = TaskMetrics() if query is not None else None
     left_by_tile: dict[int, list] = {}
     right_by_tile: dict[int, list] = {}
-    left_column = right_column = None
+    # Whole-side columns built once; each tile gets zero-copy slices
+    # (row-index arrays into the shared buffers) instead of fresh object
+    # lists for build and probe.  A side the column model cannot hold
+    # stays on its objects.
+    left_column = GeometryColumn.from_entries(left_entries)
+    right_column = GeometryColumn.from_entries(
+        (pair, pair[1]) for pair in right_entries
+    )
     left_rows_by_tile: dict[int, list[int]] = {}
     right_rows_by_tile: dict[int, list[int]] = {}
-    if cfg.batch_refine and _use_columnar(cfg):
-        # Whole-side columns built once; each tile gets zero-copy slices
-        # (row-index arrays into the shared buffers) instead of fresh
-        # object lists for build and probe.
-        left_column = GeometryColumn.from_entries(left_entries)
-        right_column = GeometryColumn.from_entries(
-            (pair, pair[1]) for pair in right_entries
-        )
     with tracer.span("route", category="phase"):
         for row, (left_id, geometry) in enumerate(left_entries):
             if geometry.is_empty:
                 continue
             for tile in tiles.route(geometry.envelope):
                 left_by_tile.setdefault(tile, []).append((left_id, geometry))
-                if left_column is not None:
-                    left_rows_by_tile.setdefault(tile, []).append(row)
+                left_rows_by_tile.setdefault(tile, []).append(row)
                 if shuffle_metrics is not None:
                     shuffle_metrics.add(
                         Resource.SHUFFLE_BYTES, _record_bytes(geometry)
@@ -1176,8 +1045,7 @@ def _partitioned_join_local(
                 continue
             for tile in tiles.route(geometry.envelope.expand_by(expand)):
                 right_by_tile.setdefault(tile, []).append((right_id, geometry))
-                if right_column is not None:
-                    right_rows_by_tile.setdefault(tile, []).append(row)
+                right_rows_by_tile.setdefault(tile, []).append(row)
                 if shuffle_metrics is not None:
                     shuffle_metrics.add(
                         Resource.SHUFFLE_BYTES, _record_bytes(geometry)
@@ -1185,128 +1053,49 @@ def _partitioned_join_local(
     if shuffle_metrics is not None:
         _add_stage(query, "shuffle", [shuffle_metrics], model)
 
-    def _tile_columns(tile_id):
-        tile_left_column = tile_right_column = None
+    def make_body(tile_id):
+        # Sliced driver-side so a process pool ships only this tile's
+        # buffers, not the whole column, with each task.
+        tile_left = left_by_tile[tile_id]
         if left_column is not None:
-            tile_left_column = left_column.take(left_rows_by_tile[tile_id])
+            left_probe = left_column.take(left_rows_by_tile[tile_id])
+        else:
+            left_probe = [geometry for _, geometry in tile_left]
         if right_column is not None:
-            tile_right_column = right_column.take(right_rows_by_tile[tile_id])
-        return tile_left_column, tile_right_column
+            right_source = right_column.take(right_rows_by_tile[tile_id])
+        else:
+            right_source = [(pair, pair[1]) for pair in right_by_tile[tile_id]]
 
-    pairs: list[tuple[Any, Any]] = []
-    tile_tasks: list[TaskMetrics] = []
+        def join_tile():
+            task = TaskMetrics()
+            tile_pairs = _join_one_tile(
+                tile_id, tile_left, left_probe, right_source, tiles, op, cfg,
+                task, expand,
+            )
+            return tile_pairs, task
+
+        return join_tile
+
     joinable = [
         tile_id for tile_id in sorted(left_by_tile) if right_by_tile.get(tile_id)
     ]
-    pool = make_pool(cfg.resolved_runtime().executors)
-    log = get_event_log()
-    events_ctx = None
-    if events_query is not None and log.enabled:
-        events_stage = log.next_id("stage")
-        log.emit(
-            "StageSubmitted",
-            query=events_query,
-            stage=events_stage,
-            name="join",
-            num_tasks=len(joinable),
-        )
-        events_ctx = (events_query, events_stage)
-    chaos = recovery is not None and recovery.active
-    use_pool = not pool.is_serial and pool.supports_closures and len(joinable) > 1
-    if chaos and not use_pool:
-        # Chaos always routes tile joins through the task-dispatch path,
-        # with an inline SerialBackend standing in for a real pool.
-        pool = SerialBackend()
-        use_pool = True
+    events_ctx = _submit_stage(events_query, "join", len(joinable))
+    tasks = [(f"tile-{tile_id}", tile_id, make_body(tile_id)) for tile_id in joinable]
+    # A lone tile is not worth a process pool.
+    pool = _task_pool(cfg) if len(tasks) > 1 else SerialBackend()
+    pairs: list[tuple[Any, Any]] = []
+    tile_tasks: list[TaskMetrics] = []
     with tracer.span("join", category="phase") as span:
-        if use_pool:
-
-            def make_tile_task(task_index, tile_id):
-                # Slice driver-side so a process pool ships only this
-                # tile's buffers, not the whole column, with each task.
-                tile_left_column, tile_right_column = _tile_columns(tile_id)
-
-                def join_tile():
-                    task = TaskMetrics()
-                    tile_pairs = _join_one_tile(
-                        tile_id, left_by_tile[tile_id], right_by_tile[tile_id],
-                        tiles, op, cfg, task, expand,
-                        tile_left_column=tile_left_column,
-                        tile_right_column=tile_right_column,
-                    )
-                    return tile_pairs, task
-
-                if events_ctx is None:
-
-                    def run_plain():
-                        tile_pairs, task = join_tile()
-                        return tile_pairs, task, None
-
-                    return run_plain
-
-                def run_with_events():
-                    capture = ObsCapture()
-                    with capture_observability(capture):
-                        wlog = get_event_log()
-                        label = f"tile-{tile_id}"
-                        _emit_task_start(wlog, events_ctx, task_index, label, tile_id)
-                        tile_pairs, task = join_tile()
-                        _emit_task_end(
-                            wlog, events_ctx, task_index, label, tile_id,
-                            task.seconds(model), dict(task.counts),
-                        )
-                    return tile_pairs, task, capture
-
-                return run_with_events
-
-            tile_thunks = [
-                make_tile_task(task_index, tile_id)
-                for task_index, tile_id in enumerate(joinable)
-            ]
-            if chaos:
-                outcomes = run_recovered(
-                    pool,
-                    tile_thunks,
-                    recovery,
-                    scope="spatial-join:join",
-                    events=events_ctx,
-                    sim_seconds=lambda index_, value: value[1].seconds(model),
-                )
-                shipments = [outcome.value for outcome in outcomes]
-            else:
-                shipments = pool.run(tile_thunks)
-            for tile_pairs, task, capture in shipments:
-                if capture is not None:
-                    apply_capture(capture)
-                pairs.extend(tile_pairs)
-                tile_tasks.append(task)
-        else:
-            for task_index, tile_id in enumerate(joinable):
-                task = TaskMetrics()
-                if events_ctx is not None:
-                    _emit_task_start(
-                        log, events_ctx, task_index, f"tile-{tile_id}", tile_id
-                    )
-                tile_left_column, tile_right_column = _tile_columns(tile_id)
-                pairs.extend(
-                    _join_one_tile(
-                        tile_id, left_by_tile[tile_id], right_by_tile[tile_id],
-                        tiles, op, cfg, task, expand,
-                        tile_left_column=tile_left_column,
-                        tile_right_column=tile_right_column,
-                    )
-                )
-                if events_ctx is not None:
-                    _emit_task_end(
-                        log, events_ctx, task_index, f"tile-{tile_id}", tile_id,
-                        task.seconds(model), dict(task.counts),
-                    )
-                tile_tasks.append(task)
+        for tile_pairs, task in _run_join_tasks(
+            pool, tasks, model, events_ctx, recovery, "spatial-join:join"
+        ):
+            pairs.extend(tile_pairs)
+            tile_tasks.append(task)
         span.set_attr("rows_out", len(pairs))
         span.set_attr("tiles_joined", len(tile_tasks))
     if query is not None and tile_tasks:
         makespan = simulate_dynamic(
-            [task.seconds(model) for task in tile_tasks], max(1, cfg.workers)
+            [task.seconds(model) for task in tile_tasks], cfg.workers
         )
         _add_stage(query, "join", tile_tasks, model, makespan=makespan)
     return pairs

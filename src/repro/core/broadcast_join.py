@@ -24,7 +24,6 @@ from typing import Any
 
 from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
-from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.errors import ReproError
@@ -124,7 +123,6 @@ def broadcast_spatial_join(
     radius: float = 0.0,
     engine: str = "fast",
     build_cost_weight: float = 1.0,
-    batch_refine: bool = True,
 ) -> RDD[tuple[Any, Any]]:
     """Join two (id, geometry) RDDs, returning matching (left_id, right_id).
 
@@ -132,12 +130,11 @@ def broadcast_spatial_join(
     with dynamic Spark scheduling; passing ``engine="slow"`` isolates the
     geometry-library axis for the ablation benchmarks.
 
-    With ``batch_refine`` (the default) each task gathers its partition's
-    probes into coordinate arrays and runs the columnar filter+refine
-    pipeline — one bulk index probe, one batch kernel call per build
-    geometry.  Pairs, their order, and every accrued task/engine counter
-    are identical to the per-row path (``batch_refine=False``); only
-    wall-clock changes.
+    Each task probes its whole partition with one
+    :meth:`~repro.core.probe.BroadcastIndex.probe_batch` call: one bulk
+    index probe, one batch kernel call per build geometry.  Pairs, their
+    order and every accrued task/engine counter equal what probing the
+    rows one by one with ``probe_with_cost`` gives.
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -168,19 +165,9 @@ def broadcast_spatial_join(
                 else None
             )
             if index is None:
-                column = (
-                    GeometryColumn.from_entries(right_local)
-                    if getattr(sc.runtime, "columnar", False)
-                    else None
+                index = BroadcastIndex.build(
+                    right_local, operator, radius=radius, engine=engine
                 )
-                if column is not None:
-                    index = BroadcastIndex.from_column(
-                        column, operator, radius=radius, engine=engine
-                    )
-                else:
-                    index = BroadcastIndex(
-                        right_local, operator, radius=radius, engine=engine
-                    )
                 if cache is not None:
                     cache.put(
                         cache_key, "spark-broadcast-index", index,
@@ -204,14 +191,6 @@ def broadcast_spatial_join(
         )
         bc_span.add_sim(sc.broadcast_overhead_seconds - ship_before)
 
-    def query_rtree(pair: tuple[Any, Geometry]):
-        left_id, geometry = pair
-        matches, units = index_broadcast.value.probe_with_cost(geometry)
-        task = current_task()
-        for resource, amount in units.items():
-            task.add(resource, amount)
-        return [(left_id, right_id) for right_id in matches]
-
     def query_rtree_partition(rows):
         rows = list(rows)
         if not rows:
@@ -228,9 +207,7 @@ def broadcast_spatial_join(
             for right_id in matches
         ]
 
-    if batch_refine:
-        return left.map_partitions(query_rtree_partition)
-    return left.flat_map(query_rtree)
+    return left.map_partitions(query_rtree_partition)
 
 
 # The paper's object name, for Fig 2-style call sites.

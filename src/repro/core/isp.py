@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cluster.model import Resource
-from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.geometry.wkt import WKTReader
@@ -32,7 +31,6 @@ def build_spatial_index(
     operator: SpatialOperator,
     radius: float,
     engine: str = "slow",
-    columnar: bool = False,
 ) -> tuple[BroadcastIndex, int, int]:
     """Build the broadcast R-tree over the right side's WKT geometry column.
 
@@ -42,10 +40,9 @@ def build_spatial_index(
     table on the right side") is one of ISP-MC's three string-parsing
     costs — the byte count lets the coordinator charge it per instance.
 
-    With ``columnar`` the parsed geometries are packed into a
-    :class:`~repro.columnar.column.GeometryColumn` and the tree is
-    bulk-loaded from its bbox arrays — same tree, same counters, and the
-    resulting index ships to pool workers as the compact binary column.
+    The index comes from :meth:`~repro.core.probe.BroadcastIndex.build`,
+    so a packable build side is bulk-loaded from its column's bbox arrays
+    and ships to pool workers as the compact binary column.
     """
     entries = []
     wkt_bytes = 0
@@ -61,15 +58,7 @@ def build_spatial_index(
             dropped += 1
             continue
         entries.append((row, geometry))
-    index = None
-    if columnar:
-        column = GeometryColumn.from_entries(entries)
-        if column is not None:
-            index = BroadcastIndex.from_column(
-                column, operator, radius=radius, engine=engine
-            )
-    if index is None:
-        index = BroadcastIndex(entries, operator, radius=radius, engine=engine)
+    index = BroadcastIndex.build(entries, operator, radius=radius, engine=engine)
     return index, wkt_bytes, dropped
 
 
@@ -79,9 +68,9 @@ class SpatialJoinNode(BlockingJoinNode):
     The build side arrives pre-indexed (the coordinator builds one
     :class:`~repro.core.probe.BroadcastIndex` and charges every instance
     for its own copy, as each real Impala instance builds its own tree
-    from the broadcast stream).  Probing walks each probe batch row by
-    row: parse the left WKT, query the R-tree, refine with the engine —
-    with per-row costs recorded so the batch's duration reflects OpenMP
+    from the broadcast stream).  Probing parses each probe batch's WKT,
+    then bulk-probes and refines the whole batch with batched kernels,
+    recording per-row costs so the batch's duration reflects OpenMP
     *static* chunking across the node's cores.
     """
 
@@ -92,14 +81,12 @@ class SpatialJoinNode(BlockingJoinNode):
         index: BroadcastIndex,
         probe_geometry_slot: int,
         build_cost_weight: float = 1.0,
-        batch_refine: bool = True,
         batch_size: int = BATCH_SIZE,
     ):
         super().__init__(ctx, probe, build_rows=[], batch_size=batch_size)
         self.index = index
         self.probe_geometry_slot = probe_geometry_slot
         self.build_cost_weight = build_cost_weight
-        self.batch_refine = batch_refine
         self.rows_dropped = 0
 
     def build(self) -> None:
@@ -109,15 +96,12 @@ class SpatialJoinNode(BlockingJoinNode):
         )
 
     def probe_batch(self, batch: RowBatch) -> list[tuple]:
-        if self.batch_refine:
-            return self._probe_batch_columnar(batch)
-        return self._probe_batch_scalar(batch)
-
-    def _probe_batch_columnar(self, batch: RowBatch) -> list[tuple]:
         """Consume the whole batch as a geometry column: parse, bulk-probe,
-        refine with batched kernels.  The per-row unit dicts handed to
-        ``charge_batch`` equal the scalar path's exactly, so the OpenMP
-        static-chunk makespans (and with them Table 1/2) are unchanged."""
+        refine with batched kernels.  Each row's unit dict handed to
+        ``charge_batch`` is its WKT bytes plus exactly what
+        ``probe_with_cost`` charges for that row, so the OpenMP
+        static-chunk makespans (and with them Table 1/2) do not depend on
+        the batching."""
         slot = self.probe_geometry_slot
         rows = batch.rows
         base_units: list[dict[str, float]] = []
@@ -144,31 +128,6 @@ class SpatialJoinNode(BlockingJoinNode):
                 per_row_units.append(units)
                 continue
             for resource, amount in row_units.items():
-                units[resource] = units.get(resource, 0.0) + amount
-            per_row_units.append(units)
-            for right_row in matches:
-                joined.append(left_row + right_row)
-        self.ctx.charge_batch(per_row_units)
-        return joined
-
-    def _probe_batch_scalar(self, batch: RowBatch) -> list[tuple]:
-        joined: list[tuple] = []
-        per_row_units: list[dict[str, float]] = []
-        slot = self.probe_geometry_slot
-        for left_row in batch:
-            text = left_row[slot]
-            units: dict[str, float] = {}
-            if isinstance(text, str):
-                units[Resource.WKT_BYTES] = float(len(text))
-                geometry = _READER.try_read(text)
-            else:
-                geometry = None
-            if geometry is None:
-                self.rows_dropped += 1
-                per_row_units.append(units)
-                continue
-            matches, probe_units = self.index.probe_with_cost(geometry)
-            for resource, amount in probe_units.items():
                 units[resource] = units.get(resource, 0.0) + amount
             per_row_units.append(units)
             for right_row in matches:

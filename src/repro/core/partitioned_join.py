@@ -91,7 +91,6 @@ def partitioned_spatial_join(
     engine: str = "fast",
     partitioning: SpatialPartitioning | None = None,
     skew_factor: float | None = 2.0,
-    batch_refine: bool = True,
 ) -> RDD[tuple[Any, Any]]:
     """Join two (id, geometry) RDDs via spatial partitioning + shuffle.
 
@@ -99,9 +98,7 @@ def partitioned_spatial_join(
     join's output (tests assert the two plans agree).  Unless an explicit
     ``partitioning`` is supplied, the tile layout is skew-aware by
     default: hot tiles are split per ``skew_factor`` (pass ``None`` to
-    restore the plain sort-tile layout).  ``batch_refine`` (default on)
-    switches each tile task to the columnar bulk-probe/batch-kernel path;
-    results and accrued counters are identical either way.
+    restore the plain sort-tile layout).
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -150,7 +147,6 @@ def partitioned_spatial_join(
     )
 
     cache = sc.cache
-    use_columnar = getattr(sc.runtime, "columnar", False)
 
     def join_tile(entry):
         tile_id, (left_entries, right_entries) = entry
@@ -174,24 +170,12 @@ def partitioned_spatial_join(
             )
             index = cache.get(tile_key, "spark-tile-index")
         if index is None:
-            column = (
-                GeometryColumn.from_entries(
-                    (pair, pair[1]) for pair in right_entries
-                )
-                if use_columnar
-                else None
+            index = BroadcastIndex.build(
+                ((pair, pair[1]) for pair in right_entries),
+                operator,
+                radius=radius,
+                engine=engine,
             )
-            if column is not None:
-                index = BroadcastIndex.from_column(
-                    column, operator, radius=radius, engine=engine
-                )
-            else:
-                index = BroadcastIndex(
-                    ((pair, pair[1]) for pair in right_entries),
-                    operator,
-                    radius=radius,
-                    engine=engine,
-                )
             if cache is not None:
                 cache.put(
                     tile_key, "spark-tile-index", index,
@@ -200,27 +184,18 @@ def partitioned_spatial_join(
                 )
         task = current_task()
         task.add(Resource.INDEX_BUILD, len(index))
-        if batch_refine:
-            left_column = (
-                GeometryColumn.from_entries(left_entries) if use_columnar else None
-            )
-            matches_per_row, totals = index.probe_batch(
-                left_column
-                if left_column is not None
-                else (geometry for _, geometry in left_entries)
-            )
-            for resource, amount in totals.items():
-                task.add(resource, amount)
-        else:
-            matches_per_row = None
+        # Probe the tile from a packed column when the rows fit the
+        # column model, else from the geometry objects.
+        left_column = GeometryColumn.from_entries(left_entries)
+        matches_per_row, totals = index.probe_batch(
+            left_column
+            if left_column is not None
+            else [geometry for _, geometry in left_entries]
+        )
+        for resource, amount in totals.items():
+            task.add(resource, amount)
         results = []
-        for row, (left_id, geometry) in enumerate(left_entries):
-            if matches_per_row is not None:
-                matches = matches_per_row[row]
-            else:
-                matches, units = index.probe_with_cost(geometry)
-                for resource, amount in units.items():
-                    task.add(resource, amount)
+        for (left_id, geometry), matches in zip(left_entries, matches_per_row):
             left_tiles = None
             for right_id, right_geometry in matches:
                 # Owner rule: a replicated pair is produced in every tile

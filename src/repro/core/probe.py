@@ -107,6 +107,28 @@ class BroadcastIndex:
         self._tree.build()
 
     @classmethod
+    def build(
+        cls,
+        source: GeometryColumn | Iterable[tuple[Any, Geometry]],
+        operator: SpatialOperator,
+        radius: float = 0.0,
+        engine: GeometryEngine | str = "fast",
+    ) -> "BroadcastIndex":
+        """The index over ``source``: a packed column or (payload, geometry) pairs.
+
+        Pairs are packed into a :class:`GeometryColumn` and bulk-loaded
+        through :meth:`from_column`; input the column model cannot hold (a
+        ``GeometryCollection``, say) takes the object constructor instead.
+        Both give the same tree, entry order, counters and probe answers.
+        """
+        if not isinstance(source, GeometryColumn):
+            entries = list(source)
+            source = GeometryColumn.from_entries(entries)
+            if source is None:
+                return cls(entries, operator, radius=radius, engine=engine)
+        return cls.from_column(source, operator, radius=radius, engine=engine)
+
+    @classmethod
     def from_column(
         cls,
         column: GeometryColumn,

@@ -18,17 +18,18 @@ def coordinate_array(coords: Iterable[Sequence[float]]) -> np.ndarray:
     """Normalise an iterable of ``(x, y)`` pairs to a float64 ``(n, 2)`` array.
 
     Accepts lists of tuples, numpy arrays, or generators.  Raises
-    :class:`GeometryError` on ragged input or NaN coordinates so dirty rows
-    fail fast at construction (the engines' text scanners rely on this to
-    filter bad records the way Fig 2's ``Try(...)`` filter does).
+    :class:`GeometryError` on ragged input or non-finite (NaN or infinite)
+    coordinates so dirty rows fail fast at construction (the engines' text
+    scanners rely on this to filter bad records the way Fig 2's
+    ``Try(...)`` filter does).
     """
     array = np.asarray(list(coords), dtype=np.float64)
     if array.size == 0:
         return array.reshape(0, 2)
     if array.ndim != 2 or array.shape[1] != 2:
         raise GeometryError(f"expected (n, 2) coordinates, got shape {array.shape}")
-    if np.isnan(array).any():
-        raise GeometryError("coordinates may not contain NaN")
+    if not np.isfinite(array).all():
+        raise GeometryError("coordinates must be finite")
     return array
 
 

@@ -24,8 +24,8 @@ class Point(Geometry):
         super().__init__()
         x = float(x)
         y = float(y)
-        if math.isnan(x) or math.isnan(y):
-            raise GeometryError(f"point coordinates may not be NaN: ({x}, {y})")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"point coordinates must be finite: ({x}, {y})")
         self.x = x
         self.y = y
         self._empty = False

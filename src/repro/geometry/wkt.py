@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable
 
-from repro.errors import WKTParseError
+from repro.errors import GeometryError, WKTParseError
 from repro.geometry.base import Geometry, GeometryType
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import (
@@ -214,11 +214,13 @@ class WKTReader:
 
         This is the Python analogue of ``Try(new WKTReader().read(...))``
         followed by ``.filter(_._2.isSuccess)`` in the paper's Fig 2 —
-        dirty rows are dropped rather than failing the job.
+        dirty rows are dropped rather than failing the job.  Text that
+        parses but describes an invalid geometry (a NaN or infinite
+        coordinate) is dirty too.
         """
         try:
             return self.read(text)
-        except WKTParseError:
+        except GeometryError:
             return None
 
     # -- grammar ----------------------------------------------------------

@@ -169,7 +169,6 @@ class ImpalaBackend:
         assignment: str = "round_robin",
         build_cost_weight: float = 1.0,
         batch_size: int | None = None,
-        batch_refine: bool = True,
         executors: int | str | None = None,
         events_out: str | None = None,
         runtime: RuntimeConfig | None = None,
@@ -180,7 +179,11 @@ class ImpalaBackend:
             )
         if batch_size is None:
             batch_size = BATCH_SIZE
-        if not isinstance(batch_size, int) or batch_size < 1:
+        if (
+            isinstance(batch_size, bool)
+            or not isinstance(batch_size, int)
+            or batch_size < 1
+        ):
             raise ImpalaError(
                 f"batch_size must be a positive integer, got {batch_size!r}"
             )
@@ -192,7 +195,6 @@ class ImpalaBackend:
         self.engine_name = engine
         self.assignment = assignment
         self.batch_size = batch_size
-        self.batch_refine = batch_refine
         # Representativity correction for right-side work at reduced
         # benchmark scale; see MaterializedWorkload.build_cost_weight.
         self.build_cost_weight = build_cost_weight
@@ -712,8 +714,7 @@ class ImpalaBackend:
         )
         if bundle is None:
             index, wkt_bytes, _ = build_spatial_index(
-                all_rows, geometry_slot, operator, radius, self.engine_name,
-                columnar=self.runtime.columnar,
+                all_rows, geometry_slot, operator, radius, self.engine_name
             )
             raw_build_bytes = sum(estimate_bytes(r) for r in all_rows)
             if bundle_key is not None:
@@ -779,20 +780,19 @@ class ImpalaBackend:
                     shared_index,
                     probe_slot,
                     build_cost_weight=self.build_cost_weight,
-                    batch_refine=self.batch_refine,
                     batch_size=self.batch_size,
                 )
             else:
                 # Naive fallback: Impala's single-core cross join + UDF filter.
                 root = self._cross_join(plan, instance, root, shared_index)
         if residual_eval is not None:
-            vector_residual = (
-                vectorize_conjuncts(plan.residual, plan.row_descriptor)
-                if self.batch_refine
-                else None
-            )
             root = FilterNode(
-                instance, root, residual_eval, vector_predicate=vector_residual
+                instance,
+                root,
+                residual_eval,
+                vector_predicate=vectorize_conjuncts(
+                    plan.residual, plan.row_descriptor
+                ),
             )
         return root
 

@@ -1,10 +1,7 @@
-"""Spatial indexing substrate: R-trees, grid, quadtree, partitioners."""
+"""Spatial indexing substrate: the STR-packed R-tree, Morton codes, partitioners."""
 
 from repro.index.morton import morton_code, morton_codes
 from repro.index.rtree import STRtree, RTreeNode
-from repro.index.dynamic_rtree import RTree
-from repro.index.grid import GridIndex
-from repro.index.quadtree import QuadTree
 from repro.index.partitioner import (
     BinarySplitPartitioner,
     FixedGridPartitioner,
@@ -18,9 +15,6 @@ __all__ = [
     "morton_code",
     "morton_codes",
     "RTreeNode",
-    "RTree",
-    "GridIndex",
-    "QuadTree",
     "SpatialPartitioning",
     "FixedGridPartitioner",
     "BinarySplitPartitioner",

@@ -57,8 +57,6 @@ class RuntimeConfig:
     fault_plan           the injected :class:`FaultPlan` (``None`` = no chaos)
     events_out           JSONL event-log path (same as the loose keyword)
     cache_budget_bytes   cross-query cache budget; ``None``/``0`` = caching off
-    columnar             use the packed-buffer geometry data plane (default on;
-                         the object path is the byte-identical reference oracle)
     ==================== =======================================================
     """
 
@@ -76,7 +74,6 @@ class RuntimeConfig:
     fault_plan: FaultPlan | None = None
     events_out: str | None = None
     cache_budget_bytes: int | None = None
-    columnar: bool = True
 
     def __post_init__(self):
         if not isinstance(self.executors, TaskPool):
@@ -139,10 +136,6 @@ class RuntimeConfig:
             raise ReproError(
                 "RuntimeConfig.cache_budget_bytes must be None or an "
                 f"integer >= 0, got {self.cache_budget_bytes!r}"
-            )
-        if not isinstance(self.columnar, bool):
-            raise ReproError(
-                f"RuntimeConfig.columnar must be a bool, got {self.columnar!r}"
             )
 
     def with_(self, **changes) -> "RuntimeConfig":

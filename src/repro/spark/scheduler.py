@@ -438,17 +438,14 @@ class DAGScheduler:
     def _pack_buckets(self, bucketed: dict[int, list]) -> dict[int, object]:
         """Pack geometry-record buckets into columnar shuffle blocks.
 
-        With the runtime's ``columnar`` knob on, every bucket whose records
-        are ``(key, (id, geometry))`` tuples becomes a
-        :class:`~repro.columnar.block.ColumnBlock` — iterating it yields
+        Every bucket whose records are ``(key, (id, geometry))`` tuples
+        becomes a :class:`~repro.columnar.block.ColumnBlock` — iterating it yields
         value-identical records, the store charges the same byte total,
         and pickling it (pooled map tasks ship buckets back to the
         driver) moves the packed binary encoding instead of the object
         graph.  Non-matching buckets (combiner output, plain key/value
         jobs) pass through untouched.
         """
-        if not getattr(self.sc.runtime, "columnar", False):
-            return bucketed
         packed: dict[int, object] = {}
         for reduce_partition, records in bucketed.items():
             block = ColumnBlock.from_records(records)

@@ -173,3 +173,35 @@ class TestErrorRename:
 
         with pytest.raises(AttributeError, match="SpatialIndexError"):
             errors_module.IndexError_
+
+
+@pytest.mark.filterwarnings("error")
+class TestInputBoundary:
+    """Bad input fails at the API boundary with a ReproError — never a raw
+    TypeError, a numpy warning, or silent acceptance."""
+
+    SQUARE = [("A", "POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")]
+
+    def test_bare_geometry_rows_name_the_expected_shape(self):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match=r"\(id, geometry\) pairs"):
+            spatial_join([Point(1, 1)], self.SQUARE)
+
+    @pytest.mark.parametrize(
+        "method", ["auto", "broadcast", "partitioned", "dual-tree", "naive"]
+    )
+    def test_infinite_coordinates_are_rejected(self, method):
+        from repro.errors import GeometryError
+        from repro.geometry.linestring import LineString
+        from repro.geometry.wkt import WKTReader
+
+        with pytest.raises(GeometryError, match="finite"):
+            spatial_join([(1, "POINT (inf 0)")], self.SQUARE, method=method)
+        with pytest.raises(GeometryError, match="finite"):
+            Point(float("-inf"), 0.0)
+        with pytest.raises(GeometryError, match="finite"):
+            LineString([(0.0, 0.0), (1.0, float("inf"))])
+        # Text scanners drop the row as dirty, exactly as for NaN.
+        assert WKTReader().try_read("POINT (inf 0)") is None
+        assert WKTReader().try_read("POINT (nan nan)") is None

@@ -1,9 +1,10 @@
-"""Batch-at-a-time joins return exactly what the scalar path returns.
+"""Batched joins return exactly what the row-by-row reference returns.
 
-``batch_refine`` may only change wall-clock: pairs, pair order, and the
-simulated seconds billed by the cost model must be identical with it on
-or off, for the broadcast and partitioned Spark joins and through the
-public ``spatial_join`` API.
+The reference (``tests/reference.py``) probes an object-built index one
+row at a time with ``probe_with_cost``.  Pairs, pair order and the
+simulated seconds billed by the cost model must match it for the
+broadcast and partitioned Spark joins and through the public
+``spatial_join`` API; ``method="naive"`` is the ground truth for pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from repro.core.probe import BroadcastIndex
 from repro.errors import ReproError
 from repro.geometry import LineString, Point, Polygon
 from repro.spark.context import SparkContext
+from tests.reference import (
+    naive_pairs,
+    reference_plane,
+    reference_probe,
+    summed_units,
+    units_seconds,
+)
 
 
 @pytest.fixture
@@ -59,75 +67,63 @@ def line_records(rng):
     return lines
 
 
-def run_broadcast(records, build, operator, radius, batch_refine):
+def run_broadcast(records, build, operator, radius):
     sc = SparkContext(ClusterSpec(2, 2))
     left = sc.parallelize(records, 4)
     right = sc.parallelize(build, 2)
-    pairs = broadcast_spatial_join(
-        sc, left, right, operator, radius=radius, batch_refine=batch_refine
-    ).collect()
+    pairs = broadcast_spatial_join(sc, left, right, operator, radius=radius).collect()
     return pairs, sc.simulated_seconds()
 
 
-def run_partitioned(records, build, operator, radius, batch_refine):
+def run_partitioned(records, build, operator, radius):
     sc = SparkContext(ClusterSpec(2, 2))
     left = sc.parallelize(records, 4)
     right = sc.parallelize(build, 2)
     partitioning = derive_partitioning(left, num_tiles=4)
     pairs = partitioned_spatial_join(
-        sc,
-        left,
-        right,
-        operator,
-        radius=radius,
-        partitioning=partitioning,
-        batch_refine=batch_refine,
+        sc, left, right, operator, radius=radius, partitioning=partitioning
     ).collect()
     return pairs, sc.simulated_seconds()
 
 
+def against_reference(run, records, build, operator, radius):
+    """Run production and the reference plane; both must agree exactly."""
+    pairs, seconds = run(records, build, operator, radius)
+    with reference_plane():
+        expected_pairs, expected_seconds = run(records, build, operator, radius)
+    assert pairs == expected_pairs  # values AND order
+    assert seconds == expected_seconds
+    assert sorted(pairs) == naive_pairs(records, build, operator, radius)
+    return pairs
+
+
 class TestSparkJoinEquivalence:
     def test_broadcast_within(self, point_records, cell_records):
-        batch, batch_t = run_broadcast(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, True
+        pairs = against_reference(
+            run_broadcast, point_records, cell_records, SpatialOperator.WITHIN, 0.0
         )
-        scalar, scalar_t = run_broadcast(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
-        assert len(batch) == len(point_records)  # grid covers the square
+        assert pairs == reference_probe(point_records, cell_records, "within")[0]
+        assert len(pairs) == len(point_records)  # grid covers the square
 
     def test_broadcast_nearestd(self, point_records, line_records):
-        batch, batch_t = run_broadcast(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, True
+        pairs = against_reference(
+            run_broadcast, point_records, line_records, SpatialOperator.NEAREST_D, 5.0
         )
-        scalar, scalar_t = run_broadcast(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, False
+        expected, _ = reference_probe(
+            point_records, line_records, "nearestd", radius=5.0
         )
-        assert batch == scalar
-        assert batch_t == scalar_t
-        assert batch  # the radius is wide enough to produce matches
+        assert pairs == expected
+        assert pairs  # the radius is wide enough to produce matches
 
     def test_partitioned_within(self, point_records, cell_records):
-        batch, batch_t = run_partitioned(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, True
+        against_reference(
+            run_partitioned, point_records, cell_records, SpatialOperator.WITHIN, 0.0
         )
-        scalar, scalar_t = run_partitioned(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
 
     def test_partitioned_nearestd(self, point_records, line_records):
-        batch, batch_t = run_partitioned(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, True
+        against_reference(
+            run_partitioned, point_records, line_records, SpatialOperator.NEAREST_D, 5.0
         )
-        scalar, scalar_t = run_partitioned(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
 
 
 class TestSpatialJoinApi:
@@ -135,21 +131,34 @@ class TestSpatialJoinApi:
     def test_batch_matches_scalar_and_naive(
         self, method, point_records, cell_records
     ):
-        naive = spatial_join(
-            point_records, cell_records, config=JoinConfig(method="naive")
-        )
-        batch = spatial_join(
-            point_records,
-            cell_records,
-            config=JoinConfig(method=method, batch_refine=True),
-        )
-        scalar = spatial_join(
-            point_records,
-            cell_records,
-            config=JoinConfig(method=method, batch_refine=False),
-        )
+        config = JoinConfig(method=method, profile=True)
+        batch = spatial_join(point_records, cell_records, config=config)
+        with reference_plane():
+            scalar = spatial_join(point_records, cell_records, config=config)
         assert batch.pairs == scalar.pairs
-        assert sorted(batch.pairs) == sorted(naive.pairs)
+        assert batch.profile.render() == scalar.profile.render()
+        assert sorted(batch.pairs) == naive_pairs(point_records, cell_records, "within")
+
+    @pytest.mark.parametrize("batch_size", [7, 1024])
+    def test_probe_stage_bills_summed_probe_with_cost_units(
+        self, batch_size, point_records, line_records
+    ):
+        config = JoinConfig(
+            method="broadcast",
+            operator="nearestd",
+            radius=5.0,
+            batch_size=batch_size,
+            profile=True,
+        )
+        result = spatial_join(point_records, line_records, config=config)
+        pairs, row_units = reference_probe(
+            point_records, line_records, "nearestd", radius=5.0
+        )
+        units = summed_units(row_units)
+        probe = result.profile.find("probe")
+        assert result.pairs == pairs
+        assert probe.counters == units
+        assert probe.sim_seconds == units_seconds(units)
 
     def test_custom_batch_size_same_result(self, point_records, cell_records):
         default = spatial_join(
@@ -166,13 +175,15 @@ class TestSpatialJoinApi:
 class TestJoinConfigValidation:
     @pytest.mark.parametrize("bad", [0, -1, -1024])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ReproError):
-            JoinConfig(batch_size=bad)
+        for field in ("batch_size", "workers"):
+            with pytest.raises(ReproError):
+                JoinConfig(**{field: bad})
 
-    @pytest.mark.parametrize("bad", [1.5, "1024", None])
+    @pytest.mark.parametrize("bad", [1.5, "1024", None, True])
     def test_rejects_non_int(self, bad):
-        with pytest.raises(ReproError):
-            JoinConfig(batch_size=bad)
+        for field in ("batch_size", "workers"):
+            with pytest.raises(ReproError):
+                JoinConfig(**{field: bad})
 
     def test_with_revalidates(self):
         config = JoinConfig()

@@ -1,10 +1,11 @@
 """Vectorized Impala execution: same rows, same bills, batch or scalar.
 
-``batch_refine`` switches the spatial join node and filter node onto the
-columnar path; these tests pin down that rows, row order, and simulated
-seconds are identical either way, that ``batch_size`` plumbs through the
-exec nodes, and that conjunct vectorization falls back to the scalar
-interpreter whenever it cannot reproduce its semantics exactly.
+The spatial join node and filter node run on row batches; these tests
+pin down that rows, row order, and simulated seconds are identical to
+the row-by-row reference in ``tests/reference.py``, that ``batch_size``
+plumbs through the exec nodes, and that conjunct vectorization falls
+back to the scalar interpreter whenever it cannot reproduce its
+semantics exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.impala.ast_nodes import BinaryOp, ColumnRef, Literal
 from repro.impala.exec_nodes import FilterNode, InstanceContext
 from repro.impala.exprs import Slot, TupleDescriptor, vectorize_conjuncts
 from repro.impala.rowbatch import BATCH_SIZE, RowBatch, batches_of
+from tests.reference import naive_pairs, reference_plane
 
 
 @pytest.fixture
@@ -70,21 +72,40 @@ QUERIES = [
 
 
 class TestBatchScalarEquivalence:
+    """Production against the reference plane: an object-built index
+    probed row by row with ``probe_with_cost`` and a scalar residual
+    filter, so each row's units, and with them the OpenMP static-chunk
+    makespans, come from summed ``probe_with_cost`` units."""
+
     @pytest.mark.parametrize("sql", QUERIES)
     @pytest.mark.parametrize("engine", ["fast", "slow"])
     def test_rows_and_runtime_identical(self, city, sql, engine):
-        batch = make_backend(city, engine=engine, batch_refine=True).execute(sql)
-        scalar = make_backend(city, engine=engine, batch_refine=False).execute(sql)
+        batch = make_backend(city, engine=engine).execute(sql)
+        with reference_plane():
+            scalar = make_backend(city, engine=engine).execute(sql)
         assert batch.rows == scalar.rows  # values AND order
         assert batch.simulated_seconds == scalar.simulated_seconds
 
     def test_custom_cost_model_still_identical(self, city):
         model = CostModel(work_scale=72_000.0)
         sql = QUERIES[0]
-        batch = make_backend(city, cost_model=model, batch_refine=True).execute(sql)
-        scalar = make_backend(city, cost_model=model, batch_refine=False).execute(sql)
+        batch = make_backend(city, cost_model=model).execute(sql)
+        with reference_plane():
+            scalar = make_backend(city, cost_model=model).execute(sql)
         assert batch.rows == scalar.rows
         assert batch.simulated_seconds == scalar.simulated_seconds
+
+    def test_rows_match_naive_ground_truth(self, city):
+        from repro.geometry.wkt import loads
+
+        def table(path):
+            lines = city.read(path).decode().splitlines()
+            return [(int(f[0]), loads(f[1])) for f in (line.split("\t") for line in lines)]
+
+        result = make_backend(city).execute(QUERIES[0])
+        assert sorted(result.rows) == naive_pairs(
+            table("/pnt.txt"), table("/poly.txt"), "within"
+        )
 
 
 class TestBatchSizePlumbing:
@@ -94,7 +115,7 @@ class TestBatchSizePlumbing:
         small = make_backend(city, batch_size=7).execute(sql)
         assert small.rows == default.rows
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "1024"])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "1024", True])
     def test_backend_rejects_bad_batch_size(self, city, bad):
         with pytest.raises(ImpalaError):
             ImpalaBackend(ClusterSpec(1, 2), hdfs=city, batch_size=bad)

@@ -1,9 +1,9 @@
-"""Property-based tests: every index agrees with brute force."""
+"""Property-based tests: the STR-tree agrees with brute force."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.envelope import Envelope
-from repro.index import GridIndex, QuadTree, RTree, STRtree
+from repro.index import STRtree
 
 coordinate = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -28,51 +28,3 @@ class TestTreesMatchBruteForce:
         tree = STRtree(entries, node_capacity=4)
         expected = sorted(i for i, e in entries if e.intersects(query))
         assert sorted(tree.query(query)) == expected
-
-    @given(entry_lists, envelopes())
-    @settings(max_examples=100, deadline=None)
-    def test_dynamic_rtree(self, envs, query):
-        tree = RTree(max_entries=4)
-        for i, env in enumerate(envs):
-            tree.insert(i, env)
-        expected = sorted(i for i, e in enumerate(envs) if e.intersects(query))
-        assert sorted(tree.query(query)) == expected
-
-    @given(entry_lists, envelopes())
-    @settings(max_examples=100, deadline=None)
-    def test_grid(self, envs, query):
-        grid = GridIndex(Envelope(0, 0, 120, 120), 8, 8)
-        for i, env in enumerate(envs):
-            grid.insert(i, env)
-        expected = sorted(i for i, e in enumerate(envs) if e.intersects(query))
-        assert sorted(grid.query(query)) == expected
-
-    @given(
-        st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=80),
-        envelopes(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_quadtree(self, points, query):
-        qt = QuadTree(Envelope(0, 0, 100, 100), capacity=4)
-        for i, (x, y) in enumerate(points):
-            qt.insert(x, y, i)
-        expected = sorted(
-            i for i, (x, y) in enumerate(points) if query.contains_point(x, y)
-        )
-        assert sorted(qt.query(query)) == expected
-
-
-class TestDeleteProperties:
-    @given(entry_lists, st.integers(min_value=0, max_value=59))
-    @settings(max_examples=80, deadline=None)
-    def test_rtree_delete_removes_exactly_one(self, envs, victim_index):
-        if not envs:
-            return
-        victim_index %= len(envs)
-        tree = RTree(max_entries=4)
-        for i, env in enumerate(envs):
-            tree.insert(i, env)
-        assert tree.delete(victim_index, envs[victim_index])
-        everything = Envelope(0, 0, 200, 200)
-        expected = sorted(i for i in range(len(envs)) if i != victim_index)
-        assert sorted(tree.query(everything)) == expected

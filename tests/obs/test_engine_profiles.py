@@ -15,6 +15,7 @@ from repro.bench.report import WORKLOAD_ORDER
 from repro.bench.runner import run_engine
 from repro.cluster.model import CostModel
 from repro.obs import QueryProfile, tracing
+from tests.reference import reference_plane
 
 SCALE = 0.02
 ENGINES = ("spatialspark", "isp-mc", "isp-standalone")
@@ -88,16 +89,16 @@ class TestBatchInvariance:
 
     Table 1/2 runtimes come from the engine counters; a batch call over N
     rows accrues exactly what N scalar calls accrue, so profiles, phase
-    sums and simulated totals are identical with batching on or off.
+    sums and simulated totals equal those of the row-by-row reference
+    plane in ``tests/reference.py``.
     """
 
     @pytest.mark.parametrize("workload", ("taxi-nycb", "taxi-lion-100"))
     @pytest.mark.parametrize("engine", ENGINES[:2])
     def test_simulated_runtime_unchanged_by_batching(self, runs, workload, engine):
-        batch = runs[workload, engine]  # default batch_refine=True
-        scalar = run_engine(
-            workload, engine, 1, scale=SCALE, profile=True, batch_refine=False
-        )
+        batch = runs[workload, engine]
+        with reference_plane():
+            scalar = run_engine(workload, engine, 1, scale=SCALE, profile=True)
         assert batch.result_rows == scalar.result_rows
         assert batch.simulated_seconds == scalar.simulated_seconds
         assert batch.profile.phase_seconds() == scalar.profile.phase_seconds()
