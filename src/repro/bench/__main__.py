@@ -31,6 +31,7 @@ from repro.bench.report import (
 )
 from repro.bench.runner import run_engine
 from repro.obs import spans_to_chrome_trace, tracing, write_chrome_trace
+from repro.runtime.config import RuntimeConfig
 
 ENGINES = ("spatialspark", "isp-mc", "isp-standalone")
 
@@ -269,9 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _profile_run(args: argparse.Namespace) -> int:
-    executors = args.executors
-    if isinstance(executors, str) and executors != "serial":
-        executors = int(executors)
+    executors = None if args.executors in (None, "serial") else int(args.executors)
     with tracing() as tracer:
         result = run_engine(
             args.workload,
@@ -279,8 +278,7 @@ def _profile_run(args: argparse.Namespace) -> int:
             args.nodes,
             scale=args.scale,
             profile=True,
-            executors=executors,
-            events_out=args.events_out,
+            runtime=RuntimeConfig(executors=executors, events_out=args.events_out),
         )
     profile = result.profile
     if args.json:

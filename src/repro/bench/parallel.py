@@ -36,6 +36,7 @@ from repro.core.probe import BroadcastIndex
 from repro.data.catalog import load_dataset
 from repro.errors import BenchError
 from repro.obs.registry import collecting
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import ProcessBackend
 
 __all__ = [
@@ -145,7 +146,7 @@ def substrate_equivalence(
                         engine,
                         nodes,
                         scale=scale,
-                        executors=executors,
+                        runtime=RuntimeConfig(executors=executors),
                     )
                     counters = reg.snapshot()["counters"]
                 return result.result_rows, result.simulated_seconds, counters
@@ -208,7 +209,7 @@ def events_overhead(
                 "spatialspark",
                 nodes,
                 scale=scale,
-                events_out=path,
+                runtime=RuntimeConfig(events_out=path),
             )
             return time.perf_counter() - start
 

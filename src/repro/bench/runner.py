@@ -71,18 +71,11 @@ def run_spatialspark(
     engine: str = "fast",
     num_partitions: int | None = None,
     profile: bool = False,
-    executors: int | str | None = None,
-    events_out: str | None = None,
-    runtime: RuntimeConfig | None = None,
+    runtime: RuntimeConfig = RuntimeConfig(),
 ) -> RunResult:
     """SpatialSpark: broadcast join on the mini-Spark substrate."""
     sc = SparkContext(
-        cluster_spec(num_nodes),
-        hdfs=mat.hdfs,
-        cost_model=cost_model,
-        executors=executors,
-        events_out=events_out,
-        runtime=runtime,
+        cluster_spec(num_nodes), hdfs=mat.hdfs, cost_model=cost_model, runtime=runtime
     )
     left = read_geometry_pairs(sc, mat.left_path, 1, num_partitions=num_partitions)
     right = read_geometry_pairs(
@@ -132,9 +125,7 @@ def run_ispmc(
     assignment: str = "round_robin",
     profile: bool = False,
     batch_size: int | None = None,
-    executors: int | str | None = None,
-    events_out: str | None = None,
-    runtime: RuntimeConfig | None = None,
+    runtime: RuntimeConfig = RuntimeConfig(),
 ) -> RunResult:
     """ISP-MC: SQL spatial join on the mini-Impala substrate."""
     backend = ImpalaBackend(
@@ -145,8 +136,6 @@ def run_ispmc(
         assignment=assignment,
         build_cost_weight=mat.build_cost_weight,
         batch_size=batch_size,
-        executors=executors,
-        events_out=events_out,
         runtime=runtime,
     )
     schema = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
@@ -212,44 +201,23 @@ def run_engine(
     scale: float = 0.1,
     cost_model: CostModel | None = None,
     profile: bool = False,
-    executors: int | str | None = None,
-    events_out: str | None = None,
-    runtime: RuntimeConfig | None = None,
+    runtime: RuntimeConfig = RuntimeConfig(),
 ) -> RunResult:
     """Dispatch by engine label (the harness entry used by benches)."""
     mat = materialize(workload_name, scale=scale)
     if engine == "spatialspark":
         return run_spatialspark(
-            mat,
-            num_nodes,
-            cost_model,
-            profile=profile,
-                executors=executors,
-            events_out=events_out,
-            runtime=runtime,
+            mat, num_nodes, cost_model, profile=profile, runtime=runtime
         )
     if engine == "isp-mc":
-        return run_ispmc(
-            mat,
-            num_nodes,
-            cost_model,
-            profile=profile,
-                executors=executors,
-            events_out=events_out,
-            runtime=runtime,
-        )
+        return run_ispmc(mat, num_nodes, cost_model, profile=profile, runtime=runtime)
     if engine == "isp-standalone":
         if num_nodes != 1:
             raise BenchError("standalone ISP-MC runs on a single node")
-        if events_out is not None:
+        if runtime != RuntimeConfig():
             raise BenchError(
-                "events_out is not supported by the standalone engine; "
-                "use spatialspark or isp-mc"
-            )
-        if runtime is not None and runtime.fault_plan is not None:
-            raise BenchError(
-                "fault injection is not supported by the standalone engine; "
-                "use spatialspark or isp-mc"
+                "the standalone engine takes no runtime settings (executors,"
+                " event log, fault plan, cache); use spatialspark or isp-mc"
             )
         return run_isp_standalone(mat, cost_model, profile=profile)
     raise BenchError(

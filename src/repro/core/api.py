@@ -20,7 +20,7 @@ import os
 import time
 from collections.abc import Sequence as _SequenceABC
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Sequence
 
 from repro.cache import (
@@ -41,12 +41,7 @@ from repro.geometry.wkt import loads as wkt_loads
 from repro.obs.events import EventLog, get_event_log, install_event_log
 from repro.obs.tracer import get_tracer
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.pool import (
-    SerialBackend,
-    current_worker_id,
-    make_pool,
-    validate_executors,
-)
+from repro.runtime.pool import SerialBackend, current_worker_id, make_pool
 from repro.runtime.recovery import RecoveryContext, run_recovered
 from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
 
@@ -59,11 +54,12 @@ _METHODS = ("auto", "broadcast", "partitioned", "dual-tree", "naive", "index")
 class JoinConfig:
     """All knobs of :func:`spatial_join` as one value.
 
-    Prefer ``spatial_join(left, right, config=JoinConfig(...))`` over the
-    loose keyword arguments — the config form always returns a
-    :class:`JoinResult`.  (The legacy loose ``profile=True`` call shape,
-    which used to return a ``(pairs, profile)`` tuple, completed its
-    deprecation cycle and now raises.)
+    ``spatial_join(left, right, config=JoinConfig(...))`` takes every
+    knob; its loose keywords cover the common subset.  A call that passes
+    ``config`` together with a loose keyword set to a non-default value
+    raises rather than silently dropping it.  (The legacy loose
+    ``profile=True`` call shape, which used to return a ``(pairs,
+    profile)`` tuple, completed its deprecation cycle and now raises.)
 
     ``workers`` is the parallelism the optimizer prices parallel plans
     against (and the partitioned method's simulated task slots);
@@ -74,25 +70,16 @@ class JoinConfig:
     substrate: how many probes each batched kernel dispatch (and each
     probe task) covers.  It must be a positive integer.
 
-    ``executors`` is the *real*-parallelism knob: ``"serial"`` (default)
-    runs everything inline; an int >= 1 dispatches probe chunks / tile
-    joins to that many worker processes.  Unlike ``workers`` (which only
-    scales the *simulated* task slots), ``executors`` changes wall-clock
-    time — and nothing else: results, counters and profiles are
-    byte-identical either way.
-
-    ``events_out`` names a JSONL file to receive the structured event log
-    (QueryStart / StageSubmitted / TaskStart / TaskEnd / QueryEnd — the
-    stream ``python -m repro.bench monitor`` replays).  ``None`` (default)
-    keeps the event sink a strict no-op.
-
-    ``runtime`` is the unified execution policy
-    (:class:`~repro.runtime.config.RuntimeConfig`: executors, retry /
-    backoff / timeout budgets, speculation knobs, an optional
-    :class:`~repro.runtime.faults.FaultPlan`, ``events_out``).  Precedence
-    rule: an explicit ``runtime`` wins over the loose ``executors`` /
-    ``events_out`` fields; when ``runtime`` is ``None`` those fields are
-    packed into an implicit one and behave exactly as before.
+    ``runtime`` is the execution policy
+    (:class:`~repro.runtime.config.RuntimeConfig`) and the only place
+    the run's real parallelism and event log are set: its ``executors``
+    fans probe chunks / tile joins out to worker processes (unlike
+    ``workers``, which only scales the *simulated* task slots, it changes
+    wall-clock time and nothing else), and its ``events_out`` names the
+    JSONL file that receives the structured event log
+    ``python -m repro.bench monitor`` replays.  It also carries the
+    retry / speculation budgets, an optional
+    :class:`~repro.runtime.faults.FaultPlan` and the cache budget.
 
     ``explain`` selects the plan-introspection surface (DESIGN.md §15):
     ``"off"`` (default) adds nothing; ``"plan"`` attaches an estimate-only
@@ -100,10 +87,7 @@ class JoinConfig:
     ``"analyze"`` additionally runs the query under full metrics and
     overlays the measured per-operator actuals onto the same tree,
     flagging estimates that are off by more than ``explain_ratio``.
-    ``calibration_out`` names a JSONL file that every ANALYZE run appends
-    its estimate-vs-actual deltas to (the optimizer's
-    :class:`~repro.optimizer.calibration.CalibrationLog`).  All three are
-    observers only: pairs, counters, profiles, simulated seconds and
+    Both are observers only: pairs, counters, profiles, simulated seconds and
     events are byte-identical whatever their values.
     """
 
@@ -118,12 +102,9 @@ class JoinConfig:
     skew_factor: float = 2.0
     sample_size: int | None = None
     batch_size: int = 1024
-    executors: int | str = "serial"
-    events_out: str | None = None
-    runtime: RuntimeConfig | None = None
+    runtime: RuntimeConfig = RuntimeConfig()
     explain: str = "off"
     explain_ratio: float = 4.0
-    calibration_out: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "workers"):
@@ -138,17 +119,10 @@ class JoinConfig:
             raise ReproError(
                 f"explain_ratio must be > 1, got {self.explain_ratio!r}"
             )
-        validate_executors(self.executors, what="executors")
-        if self.runtime is not None and not isinstance(self.runtime, RuntimeConfig):
+        if not isinstance(self.runtime, RuntimeConfig):
             raise ReproError(
                 f"runtime must be a RuntimeConfig, got {type(self.runtime).__name__}"
             )
-
-    def resolved_runtime(self) -> RuntimeConfig:
-        """The effective runtime policy (explicit ``runtime`` wins)."""
-        if self.runtime is not None:
-            return self.runtime
-        return RuntimeConfig(executors=self.executors, events_out=self.events_out)
 
     def with_(self, **changes) -> "JoinConfig":
         """A copy with the given fields replaced."""
@@ -359,9 +333,7 @@ def spatial_join(
     profile: bool = False,
     cost_model: CostModel | None = None,
     workers: int = 1,
-    executors: int | str = "serial",
-    events_out: str | None = None,
-    runtime: RuntimeConfig | None = None,
+    runtime: RuntimeConfig = RuntimeConfig(),
     explain: str = "off",
     config: JoinConfig | None = None,
 ) -> JoinResult:
@@ -387,10 +359,11 @@ def spatial_join(
     ``profile=True`` call (which returned a ``(pairs, profile)`` tuple)
     completed its deprecation cycle and now raises.
 
-    ``runtime`` installs a :class:`~repro.runtime.config.RuntimeConfig`
-    (retry / speculation policy, fault plan); it takes precedence over
-    the loose ``executors`` / ``events_out`` keywords, and over the same
-    fields of ``config`` when both are given.
+    ``runtime`` is the :class:`~repro.runtime.config.RuntimeConfig` the
+    join runs under: executor pool, event log, retry / speculation
+    policy, fault plan, cache budget.  ``config`` replaces the loose
+    keywords entirely; passing it with any of them set to a non-default
+    value raises :class:`~repro.errors.ReproError` naming them.
 
     Example::
 
@@ -402,32 +375,54 @@ def spatial_join(
         >>> pairs == [(0, 'cell')]
         True
     """
-    if config is not None:
-        cfg = config
-    else:
-        if profile:
-            raise ReproError(
-                "spatial_join(..., profile=True) as a loose keyword used to"
-                " return the legacy (pairs, profile) tuple; that shape"
-                " completed its deprecation cycle and was removed — pass"
-                " config=JoinConfig(profile=True) and read .pairs / .profile"
-                " off the returned JoinResult"
-            )
-        cfg = JoinConfig(
-            operator=operator,
-            radius=radius,
-            engine=engine,
-            method=method,
-            profile=profile,
-            cost_model=cost_model,
-            workers=workers,
-            executors=executors,
-            events_out=events_out,
-            explain=explain,
+    if config is None and profile:
+        raise ReproError(
+            "spatial_join(..., profile=True) as a loose keyword used to"
+            " return the legacy (pairs, profile) tuple; that shape"
+            " completed its deprecation cycle and was removed — pass"
+            " config=JoinConfig(profile=True) and read .pairs / .profile"
+            " off the returned JoinResult"
         )
-    if runtime is not None:
-        cfg = cfg.with_(runtime=runtime)
+    cfg = _resolve_config(
+        config,
+        operator=operator,
+        radius=radius,
+        engine=engine,
+        method=method,
+        profile=profile,
+        cost_model=cost_model,
+        workers=workers,
+        runtime=runtime,
+        explain=explain,
+    )
     return _execute_join(left, right, cfg)
+
+
+def _resolve_config(config: JoinConfig | None, **loose) -> JoinConfig:
+    """The :class:`JoinConfig` a call runs with.
+
+    Without ``config`` the loose keywords build one.  With it, every
+    loose keyword must hold its default: one that does not would be
+    silently dropped, so it raises :class:`ReproError` naming it.
+    """
+    if "operator" in loose:
+        loose["operator"] = _coerce_operator(loose["operator"])
+    if config is None:
+        return JoinConfig(**loose)
+    defaults = {f.name: f.default for f in fields(JoinConfig)}
+    ignored = sorted(
+        name for name, value in loose.items()
+        if name not in defaults or value != defaults[name]
+    )
+    if ignored:
+        raise ReproError(
+            "config= replaces the loose keywords, so "
+            + ", ".join(f"{name}=" for name in ignored)
+            + " would be ignored; set "
+            + ("it" if len(ignored) == 1 else "them")
+            + " on the JoinConfig instead"
+        )
+    return config
 
 
 def _execute_join(left, right, cfg: JoinConfig) -> JoinResult:
@@ -438,7 +433,7 @@ def _execute_join(left, right, cfg: JoinConfig) -> JoinResult:
     enclosing :func:`~repro.obs.events.logging_events` block, or the
     disabled no-op default) is left in place.
     """
-    events_out = cfg.resolved_runtime().events_out
+    events_out = cfg.runtime.events_out
     owned = EventLog(path=events_out) if events_out else None
     try:
         with install_event_log(owned):
@@ -458,9 +453,9 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
     model = cfg.cost_model or CostModel()
     # One recovery context per join call: blacklist state and fault
     # consumption are scoped to the query, like the engines' drivers.
-    recovery = RecoveryContext(cfg.resolved_runtime())
+    recovery = RecoveryContext(cfg.runtime)
     # None unless the runtime opts in via cache_budget_bytes.
-    cache = cache_for(cfg.resolved_runtime())
+    cache = cache_for(cfg.runtime)
     tracer = get_tracer()
     # Pure observers: nothing below this block changes when explain is on.
     explain_on = cfg.explain != "off"
@@ -507,33 +502,17 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
     bindex_key = None
     if cache is not None:
         bindex_key = _broadcast_index_key(right_entries, op, cfg)
-    # Residency of the broadcast build side *at planning time* — a plain
-    # containment peek (counts neither hit nor miss), recorded for the
-    # explain report before execution can warm the cache.
-    explain_resident = (
-        explain_on and bindex_key is not None and bindex_key in cache
-    )
+    # Residency of the broadcast build side *at planning time*.  A
+    # cache-resident build side makes broadcast (nearly) free to set up,
+    # so the planner is told (a warm cache can flip the plan) and the
+    # explain report records it before execution can warm the cache.
+    # The peek is a plain containment test — it must not count a
+    # hit/miss the subsequent build lookup will count again.
+    build_resident = bindex_key is not None and bindex_key in cache
     if method == "auto":
-        from repro.optimizer import choose_plan
-
-        # A cache-resident build side makes broadcast (nearly) free to set
-        # up; tell the planner so a warm cache can flip the plan.  The
-        # residency peek is a plain containment test — it must not count a
-        # hit/miss the subsequent build lookup will count again.
-        cached_build = bindex_key is not None and bindex_key in cache
         with tracer.span("plan", category="phase") as span:
-            plan = choose_plan(
-                left_entries,
-                right_entries,
-                operator=op,
-                radius=cfg.radius,
-                cost_model=model,
-                workers=cfg.workers,
-                num_tiles=cfg.num_tiles,
-                skew_factor=cfg.skew_factor,
-                engine=cfg.engine,
-                sample_size=cfg.sample_size,
-                cached_build=cached_build,
+            plan = _choose_plan(
+                left_entries, right_entries, op, cfg, model, build_resident
             )
             span.set_attr("method", plan.method)
         stats = plan.stats
@@ -578,8 +557,7 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
     if explain_on:
         report = _build_explain_report(
             cfg, op, model, plan, method, left_entries, right_entries,
-            raw_wkt, cache, bindex_key, explain_resident, cache_before,
-            profile_obj,
+            raw_wkt, cache, build_resident, cache_before, profile_obj,
         )
     return JoinResult(
         pairs=pairs, profile=profile_obj, plan=plan, stats=stats,
@@ -587,9 +565,28 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
     )
 
 
+def _choose_plan(left_entries, right_entries, op, cfg, model, cached_build):
+    """:func:`repro.optimizer.choose_plan` priced with ``cfg``'s knobs."""
+    from repro.optimizer import choose_plan
+
+    return choose_plan(
+        left_entries,
+        right_entries,
+        operator=op,
+        radius=cfg.radius,
+        cost_model=model,
+        workers=cfg.workers,
+        num_tiles=cfg.num_tiles,
+        skew_factor=cfg.skew_factor,
+        engine=cfg.engine,
+        sample_size=cfg.sample_size,
+        cached_build=cached_build,
+    )
+
+
 def _build_explain_report(
     cfg, op, model, plan, method, left_entries, right_entries, raw_wkt,
-    cache, bindex_key, explain_resident, cache_before, profile_obj,
+    cache, build_resident, cache_before, profile_obj,
 ):
     """Price the executed plan and (for ANALYZE) overlay measured actuals.
 
@@ -602,24 +599,12 @@ def _build_explain_report(
 
     pricing = plan
     if pricing is None:
-        from repro.optimizer import choose_plan
-
-        pricing = choose_plan(
-            left_entries,
-            right_entries,
-            operator=op,
-            radius=cfg.radius,
-            cost_model=model,
-            workers=cfg.workers,
-            num_tiles=cfg.num_tiles,
-            skew_factor=cfg.skew_factor,
-            engine=cfg.engine,
-            sample_size=cfg.sample_size,
-            cached_build=explain_resident,
+        pricing = _choose_plan(
+            left_entries, right_entries, op, cfg, model, build_resident
         )
     cache_info = {
         "enabled": cache is not None,
-        "build_resident": explain_resident,
+        "build_resident": build_resident,
     }
     if cache is not None and cache_before is not None:
         after = cache.stats.as_dict()
@@ -637,10 +622,6 @@ def _build_explain_report(
     )
     if cfg.explain == "analyze" and profile_obj is not None:
         overlay_profile(report, profile_obj, cache_info=cache_info)
-        if cfg.calibration_out:
-            from repro.optimizer.calibration import CalibrationLog
-
-            CalibrationLog(cfg.calibration_out).record_report(report)
     return report
 
 
@@ -729,7 +710,7 @@ def _task_pool(cfg: JoinConfig):
     """The pool join tasks run on: the executors pool, or an inline
     :class:`SerialBackend` when that pool is serial or cannot run
     closures (tasks read the fork-inherited index and columns)."""
-    pool = make_pool(cfg.resolved_runtime().executors)
+    pool = make_pool(cfg.runtime.executors)
     if pool.is_serial or not pool.supports_closures:
         return SerialBackend()
     return pool
@@ -935,23 +916,7 @@ def _join_one_tile(
     matches_per_row, totals = index.probe_batch(left_probe)
     for resource, amount in totals.items():
         task.add(resource, amount)
-    tile_pairs: list[tuple[Any, Any]] = []
-    for (left_id, geometry), matches in zip(tile_left, matches_per_row):
-        left_tiles = None
-        for right_id, right_geometry in matches:
-            if left_tiles is None:
-                left_tiles = tiles.route(geometry.envelope)
-            if len(left_tiles) == 1:
-                owner = left_tiles[0]
-            else:
-                right_tiles = tiles.route(
-                    right_geometry.envelope.expand_by(expand)
-                )
-                common = set(left_tiles) & set(right_tiles)
-                owner = min(common) if common else tile_id
-            if owner == tile_id:
-                tile_pairs.append((left_id, right_id))
-    return tile_pairs
+    return tiles.owned_pairs(tile_id, tile_left, matches_per_row, expand)
 
 
 def _partitioned_join_local(
@@ -1111,8 +1076,7 @@ def spatial_join_pairs(
     profile: bool = False,
     cost_model: CostModel | None = None,
     workers: int = 1,
-    executors: int | str = "serial",
-    runtime: RuntimeConfig | None = None,
+    runtime: RuntimeConfig = RuntimeConfig(),
     config: JoinConfig | None = None,
 ) -> JoinResult:
     """Positional variant: ids are the sequences' indexes.
@@ -1133,7 +1097,6 @@ def spatial_join_pairs(
         profile=profile,
         cost_model=cost_model,
         workers=workers,
-        executors=executors,
         runtime=runtime,
         config=config,
     )

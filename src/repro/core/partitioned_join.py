@@ -194,25 +194,6 @@ def partitioned_spatial_join(
         )
         for resource, amount in totals.items():
             task.add(resource, amount)
-        results = []
-        for (left_id, geometry), matches in zip(left_entries, matches_per_row):
-            left_tiles = None
-            for right_id, right_geometry in matches:
-                # Owner rule: a replicated pair is produced in every tile
-                # both sides reach; only the lowest-indexed common tile
-                # emits it, so results carry no duplicates and lose no pair.
-                if left_tiles is None:
-                    left_tiles = tiles.route(geometry.envelope)
-                if len(left_tiles) == 1:
-                    owner = left_tiles[0]
-                else:
-                    right_tiles = tiles.route(
-                        right_geometry.envelope.expand_by(expand)
-                    )
-                    common = set(left_tiles) & set(right_tiles)
-                    owner = min(common) if common else tile_id
-                if owner == tile_id:
-                    results.append((left_id, right_id))
-        return results
+        return tiles.owned_pairs(tile_id, left_entries, matches_per_row, expand)
 
     return grouped.flat_map(join_tile)

@@ -169,9 +169,7 @@ class ImpalaBackend:
         assignment: str = "round_robin",
         build_cost_weight: float = 1.0,
         batch_size: int | None = None,
-        executors: int | str | None = None,
-        events_out: str | None = None,
-        runtime: RuntimeConfig | None = None,
+        runtime: RuntimeConfig = RuntimeConfig(),
     ):
         if assignment not in ("contiguous", "round_robin"):
             raise ImpalaError(
@@ -200,12 +198,8 @@ class ImpalaBackend:
         self.build_cost_weight = build_cost_weight
         self.metastore = Metastore(self.hdfs)
         self._planner = Planner(self.metastore, num_nodes=self.cluster.num_nodes)
-        # Unified runtime policy.  Precedence rule: an explicit
-        # RuntimeConfig wins over the loose executors/events_out
-        # keywords; without one, the loose keywords are packed into an
-        # implicit RuntimeConfig and behave exactly as before.
-        if runtime is None:
-            runtime = RuntimeConfig(executors=executors, events_out=events_out)
+        # The execution policy: executors, event log, restart budget,
+        # fault plan and cache budget all come from here.
         self.runtime = runtime
         # Coordinator-side recovery state.  Impala's scheduling is static
         # (Section IV): there is no per-fragment retry or speculation —

@@ -60,6 +60,34 @@ class SpatialPartitioning:
         )
         return [nearest]
 
+    def owned_pairs(self, tile_id, left_entries, matches_per_row, expand=0.0):
+        """The ``(left_id, right_id)`` matches tile ``tile_id`` emits.
+
+        Reference-point owner rule: a replicated pair is produced in every
+        tile both sides reach, and only the lowest-indexed common tile
+        emits it, so a tiled join carries no duplicates and loses no pair.
+        ``matches_per_row`` holds each left row's ``(right_id,
+        right_geometry)`` matches; ``expand`` is the distance the right
+        side was routed with.
+        """
+        pairs = []
+        for (left_id, geometry), matches in zip(left_entries, matches_per_row):
+            left_tiles = None
+            for right_id, right_geometry in matches:
+                if left_tiles is None:
+                    left_tiles = self.route(geometry.envelope)
+                if len(left_tiles) == 1:
+                    owner = left_tiles[0]
+                else:
+                    right_tiles = self.route(
+                        right_geometry.envelope.expand_by(expand)
+                    )
+                    common = set(left_tiles) & set(right_tiles)
+                    owner = min(common) if common else tile_id
+                if owner == tile_id:
+                    pairs.append((left_id, right_id))
+        return pairs
+
     def route_point(self, x: float, y: float) -> int:
         """Return the single tile owning a point (ties to lowest index)."""
         for i, tile in enumerate(self.tiles):

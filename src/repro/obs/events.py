@@ -19,9 +19,11 @@ scoped::
         run_query(...)
     # log.events holds the stream; events.jsonl holds the same lines
 
-or attach a sink to one engine via its ``events_out=`` knob
-(:class:`~repro.spark.context.SparkContext`,
-:class:`~repro.impala.coordinator.ImpalaBackend`,
+or attach a sink to one engine via
+``runtime=RuntimeConfig(events_out=...)``
+(:class:`~repro.runtime.config.RuntimeConfig`, accepted by
+:class:`~repro.spark.context.SparkContext`,
+:class:`~repro.impala.coordinator.ImpalaBackend` and
 :class:`~repro.core.api.JoinConfig`).
 
 Pool workers never write to the driver's sink (they cannot — separate

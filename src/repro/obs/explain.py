@@ -20,8 +20,7 @@ measured *actuals*.  This module is that comparison surface:
 
 An :class:`ExplainReport` is machine-readable (``to_json`` — the
 document ``bench regress`` archives as a CI artifact) and human-readable
-(``render`` — a ``bench monitor``-style table).  Its per-operator
-deltas feed :class:`~repro.optimizer.calibration.CalibrationLog`.
+(``render`` — a ``bench monitor``-style table).
 
 Everything here is strictly off the hot path: with ``explain="off"``
 (the default) none of this module is imported, and query output stays
@@ -242,12 +241,6 @@ class ExplainReport:
                 )
             else:
                 lines.append(f"misestimates (> {self.ratio:g}x): none")
-        calibration = self.plan.get("calibration")
-        if calibration:
-            lines.append(
-                "calibration factors (recorded, not applied): "
-                + "  ".join(f"{k}={v:.2f}x" for k, v in calibration.items())
-            )
         return "\n".join(lines)
 
 
@@ -407,8 +400,6 @@ def build_plan_report(
             join.info["split_tiles"] = plan.split_tiles
     if plan.cached_build:
         plan_info["cached_build"] = True
-    if plan.calibration:
-        plan_info["calibration"] = dict(plan.calibration)
     if cache_info is not None:
         plan_info["cache"] = dict(cache_info)
     return ExplainReport(
@@ -540,7 +531,8 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     without executing it.
 
     Accepts the same inputs and knobs as ``spatial_join`` (loose keywords
-    or ``config=JoinConfig(...)``).  Both collections are normalised and
+    or ``config=JoinConfig(...)``; a non-default loose keyword next to
+    ``config`` raises, as there).  Both collections are normalised and
     sampled — that is the whole cost; no index is built, nothing is
     joined, no events are emitted.  Cache residency of the broadcast
     build side is peeked (a plain containment test that counts neither a
@@ -548,16 +540,18 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     discounted build estimate, exactly as the executed auto plan would
     see it.
     """
-    from repro.cache import cache_for, fingerprint_entries
+    from repro.cache import cache_for
     from repro.cluster.model import CostModel
-    from repro.core.api import JoinConfig, _coerce_operator, _normalise
-    from repro.optimizer import choose_plan
+    from repro.core.api import (
+        _broadcast_index_key,
+        _choose_plan,
+        _coerce_operator,
+        _normalise,
+        _resolve_config,
+    )
 
-    if config is not None:
-        cfg = config
-    else:
-        kwargs.pop("explain", None)
-        cfg = JoinConfig(**kwargs)
+    kwargs.pop("explain", None)
+    cfg = _resolve_config(config, **kwargs)
     op = _coerce_operator(cfg.operator)
     left = left if isinstance(left, list) else list(left)
     right = right if isinstance(right, list) else list(right)
@@ -567,27 +561,11 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     left_entries = _normalise(left, None)
     right_entries = _normalise(right, None)
     model = cfg.cost_model or CostModel()
-    cache = cache_for(cfg.resolved_runtime())
-    cached_build = False
-    if cache is not None:
-        key = fingerprint_entries(
-            right_entries, "broadcast-index", op.value, float(cfg.radius),
-            cfg.engine,
-        )
-        cached_build = key in cache
-    plan = choose_plan(
-        left_entries,
-        right_entries,
-        operator=op,
-        radius=cfg.radius,
-        cost_model=model,
-        workers=cfg.workers,
-        num_tiles=cfg.num_tiles,
-        skew_factor=cfg.skew_factor,
-        engine=cfg.engine,
-        sample_size=cfg.sample_size,
-        cached_build=cached_build,
+    cache = cache_for(cfg.runtime)
+    cached_build = (
+        cache is not None and _broadcast_index_key(right_entries, op, cfg) in cache
     )
+    plan = _choose_plan(left_entries, right_entries, op, cfg, model, cached_build)
     method = None
     if cfg.method not in ("auto",):
         method = "broadcast" if cfg.method == "index" else cfg.method

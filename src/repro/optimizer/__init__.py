@@ -17,13 +17,9 @@ recursively split before task generation.
   :class:`~repro.cluster.model.CostModel`;
 * :mod:`repro.optimizer.planner` — :func:`choose_plan` over ``broadcast``
   / ``partitioned`` / ``dual-tree`` / ``naive``, plus the
-  LocationSpark-style :func:`split_hot_tiles` repartitioner;
-* :mod:`repro.optimizer.calibration` — the persistent
-  estimate-vs-actual feedback log that ``EXPLAIN ANALYZE`` appends to
-  and :func:`choose_plan` consults (recorded, never auto-applied).
+  LocationSpark-style :func:`split_hot_tiles` repartitioner.
 """
 
-from repro.optimizer.calibration import CalibrationLog, CalibrationRecord
 from repro.optimizer.planner import (
     PlanChoice,
     choose_plan,
@@ -42,8 +38,6 @@ from repro.optimizer.stats import (
 )
 
 __all__ = [
-    "CalibrationLog",
-    "CalibrationRecord",
     "PlanChoice",
     "choose_plan",
     "derive_skew_aware_partitioning",

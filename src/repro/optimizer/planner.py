@@ -82,10 +82,6 @@ class PlanChoice:
     # True when the broadcast build side was cache-resident at planning
     # time, so its cost was discounted (a warm cache can flip the plan).
     cached_build: bool = False
-    # Estimate-vs-actual correction factors consulted at planning time
-    # (``choose_plan(..., calibration=...)``).  Recorded for observability
-    # only — the chooser never applies them, so plans stay deterministic.
-    calibration: dict[str, float] | None = field(default=None, repr=False)
 
     @property
     def estimated_seconds(self) -> float:
@@ -125,10 +121,6 @@ class PlanChoice:
         }
         if self.cached_build:
             info["cached_build"] = True
-        if self.calibration:
-            info["calibration"] = {
-                key: round(value, 6) for key, value in self.calibration.items()
-            }
         if self.partitioning is not None:
             info["tiles"] = len(self.partitioning)
             info["split_tiles"] = self.split_tiles
@@ -405,7 +397,6 @@ def choose_plan(
     engine: str = "fast",
     sample_size: int | None = None,
     cached_build: bool = False,
-    calibration=None,
 ) -> PlanChoice:
     """Sample, price, and pick the cheapest join plan.
 
@@ -420,13 +411,6 @@ def choose_plan(
     (the cross-query cache already holds the built index); the discount
     and any resulting plan flip are recorded on the returned
     :class:`PlanChoice` as ``cached_build``.
-
-    ``calibration`` is an optional
-    :class:`~repro.optimizer.calibration.CalibrationLog`: its per-operator
-    estimate-vs-actual factors are *consulted* (snapshotted onto the
-    returned choice for EXPLAIN output) but never applied to the costs, so
-    the same inputs always pick the same plan regardless of feedback
-    history.
     """
     model = cost_model or CostModel()
     if isinstance(left, JoinStats):
@@ -465,9 +449,6 @@ def choose_plan(
         cached_build=cached_build,
     )
     method = min(PLAN_METHODS, key=lambda m: (costs[m], PLAN_METHODS.index(m)))
-    factors = None
-    if calibration is not None:
-        factors = calibration.factors()
     return PlanChoice(
         method=method,
         costs=costs,
@@ -479,7 +460,6 @@ def choose_plan(
         split_tiles=split_count,
         skew_factor=skew_factor,
         cached_build=cached_build,
-        calibration=factors or None,
     )
 
 

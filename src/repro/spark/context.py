@@ -44,17 +44,11 @@ class SparkContext:
         hdfs: SimulatedHDFS | None = None,
         cost_model: CostModel | None = None,
         default_parallelism: int | None = None,
-        executors: int | str | None = None,
-        events_out: str | None = None,
-        runtime: RuntimeConfig | None = None,
+        runtime: RuntimeConfig = RuntimeConfig(),
     ):
         self.cluster = cluster
-        # Unified runtime policy.  Precedence rule: an explicit
-        # RuntimeConfig wins over the loose executors/events_out
-        # keywords; without one, the loose keywords are packed into an
-        # implicit RuntimeConfig and behave exactly as before.
-        if runtime is None:
-            runtime = RuntimeConfig(executors=executors, events_out=events_out)
+        # The execution policy: executors, event log, retry/speculation
+        # budgets, fault plan and cache budget all come from here.
         self.runtime = runtime
         # Driver-side recovery state (fault plan, virtual-worker
         # blacklist); inert unless the runtime carries a FaultPlan.

@@ -24,6 +24,7 @@ from repro.bench.report import (
 )
 from repro.bench.runner import cluster_spec, run_engine
 from repro.errors import BenchError
+from repro.runtime import RuntimeConfig
 
 SCALE = 0.02
 
@@ -118,6 +119,13 @@ class TestRunners:
             run_engine("taxi-nycb", "warp", 2, scale=SCALE)
         with pytest.raises(BenchError):
             run_engine("taxi-nycb", "isp-standalone", 4, scale=SCALE)
+        # The standalone engine has no pool: a runtime it would ignore
+        # is rejected, not silently run serially.
+        with pytest.raises(BenchError, match="standalone"):
+            run_engine(
+                "taxi-nycb", "isp-standalone", 1, scale=SCALE,
+                runtime=RuntimeConfig(executors=2),
+            )
 
     def test_single_node_is_inhouse_machine(self):
         spec = cluster_spec(1)

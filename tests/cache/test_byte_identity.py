@@ -39,9 +39,9 @@ def fresh_process_caches():
 def observed_run(left, right, method, executors, budget):
     """One join under full observation: pairs, counters, profile text."""
     runtime = RuntimeConfig(executors=executors, cache_budget_bytes=budget)
-    config = JoinConfig(method=method, profile=True, radius=0.0)
+    config = JoinConfig(method=method, profile=True, radius=0.0, runtime=runtime)
     with collecting() as reg:
-        result = spatial_join(left, right, runtime=runtime, config=config)
+        result = spatial_join(left, right, config=config)
         counters = reg.snapshot()["counters"]
     return list(result), counters, result.profile.render()
 

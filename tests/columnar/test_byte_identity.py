@@ -59,12 +59,12 @@ def mixed_workload(seed, n_points=300, n_polygons=24):
 def observed_run(left, right, method, operator, radius, executors, reference):
     """Pairs, registry counters and rendered profile of one join."""
     config = JoinConfig(
-        method=method, operator=operator, radius=radius, profile=True
+        method=method, operator=operator, radius=radius, profile=True,
+        runtime=RuntimeConfig(executors=executors),
     )
-    runtime = RuntimeConfig(executors=executors)
     with reference_plane() if reference else contextlib.nullcontext():
         with collecting() as reg:
-            result = spatial_join(left, right, runtime=runtime, config=config)
+            result = spatial_join(left, right, config=config)
             counters = reg.snapshot()["counters"]
     return list(result), counters, result.profile.render()
 

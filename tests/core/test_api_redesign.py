@@ -17,6 +17,7 @@ from repro.data.synthetic import cluster_mixture_points
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.runtime import RuntimeConfig
 
 EXTENT = Envelope(0.0, 0.0, 10.0, 10.0)
 
@@ -122,12 +123,6 @@ class TestJoinConfig:
         assert isinstance(result, JoinResult)
         assert result.profile is not None
 
-    def test_config_takes_precedence_over_loose_keywords(self):
-        left, right = skewed_workload(6, n_points=100)
-        cfg = JoinConfig(method="naive")
-        result = spatial_join(left, right, method="broadcast", config=cfg)
-        assert result.method == "naive"
-
     def test_with_replaces_fields(self):
         cfg = JoinConfig(method="broadcast")
         tuned = cfg.with_(workers=8, skew_factor=3.0)
@@ -205,3 +200,26 @@ class TestInputBoundary:
         # Text scanners drop the row as dirty, exactly as for NaN.
         assert WKTReader().try_read("POINT (inf 0)") is None
         assert WKTReader().try_read("POINT (nan nan)") is None
+
+    @pytest.mark.parametrize(
+        "loose, named",
+        [
+            ({"operator": "nearestd", "radius": 10}, "operator=, radius="),
+            ({"workers": 4}, "workers="),
+            ({"runtime": RuntimeConfig(executors=2)}, "runtime="),
+        ],
+    )
+    def test_config_with_non_default_loose_keyword_raises(self, loose, named):
+        from repro.errors import ReproError
+        from repro.obs.explain import explain
+
+        left = [(0, "POINT (1 1)")]
+        config = JoinConfig(method="naive")
+        with pytest.raises(ReproError, match=named):
+            spatial_join(left, self.SQUARE, config=config, **loose)
+        with pytest.raises(ReproError, match=named):
+            explain(left, self.SQUARE, config=config, **loose)
+        # Loose keywords at their defaults are not ignored options.
+        assert spatial_join(
+            left, self.SQUARE, operator="within", radius=0.0, config=config
+        ) == [(0, "A")]

@@ -1,12 +1,9 @@
-"""RuntimeConfig: validation, the single precedence rule, plumbing.
+"""RuntimeConfig: validation and plumbing.
 
-The precedence rule under test (documented in repro/runtime/config.py):
-an explicit ``RuntimeConfig`` wins over loose keywords; without one, the
-loose ``executors``/``events_out`` keywords are packed into an implicit
-``RuntimeConfig`` so existing call shapes keep working.
+``RuntimeConfig`` is the only place a run's executors and event log are
+set; ``JoinConfig``, ``SparkContext`` and ``ImpalaBackend`` take it via
+``runtime=``.
 """
-
-import os
 
 import pytest
 
@@ -68,58 +65,9 @@ class TestValidation:
         )
         assert runtime.fault_plan.seed == 1
 
-
-class TestPrecedence:
-    def test_spark_context_explicit_runtime_wins(self):
-        sc = SparkContext(
-            SPEC, executors=2, runtime=RuntimeConfig(executors="serial")
-        )
-        assert sc.runtime.executors == "serial"
-        assert sc.task_pool.is_serial
-
-    def test_spark_context_loose_keywords_pack_implicitly(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        sc = SparkContext(SPEC, executors="serial", events_out=path)
-        assert sc.runtime == RuntimeConfig(executors="serial", events_out=path)
-        sc.parallelize([1, 2, 3], 2).collect()
-        sc.close_events()
-        assert any(e["event"] == "QueryEnd" for e in read_events(path))
-
-    def test_impala_backend_explicit_runtime_wins(self):
-        backend = ImpalaBackend(
-            SPEC, executors=2, runtime=RuntimeConfig(executors="serial")
-        )
-        assert backend.runtime.executors == "serial"
-        assert backend.task_pool.is_serial
-
-    def test_join_config_resolved_runtime(self):
-        explicit = RuntimeConfig(executors="serial")
-        cfg = JoinConfig(workers=4, runtime=explicit)
-        assert cfg.resolved_runtime() is explicit
-        implicit = JoinConfig(executors=2, events_out=None).resolved_runtime()
-        assert implicit == RuntimeConfig(executors=2)
-
     def test_join_config_rejects_non_runtime(self):
         with pytest.raises(ReproError, match="runtime"):
             JoinConfig(runtime="serial")
-
-    def test_spatial_join_runtime_keyword_beats_config_runtime(self, tmp_path):
-        config_path = str(tmp_path / "from-config.jsonl")
-        keyword_path = str(tmp_path / "from-keyword.jsonl")
-        pairs = spatial_join(
-            LEFT,
-            RIGHT,
-            config=JoinConfig(runtime=RuntimeConfig(events_out=config_path)),
-            runtime=RuntimeConfig(events_out=keyword_path),
-        )
-        assert sorted(pairs) == [(0, "cell"), (2, "cell")]
-        assert os.path.exists(keyword_path)
-        assert not os.path.exists(config_path)
-
-    def test_spatial_join_loose_events_out_still_works(self, tmp_path):
-        path = str(tmp_path / "loose.jsonl")
-        spatial_join(LEFT, RIGHT, events_out=path)
-        assert any(e["event"] == "QueryEnd" for e in read_events(path))
 
 
 class TestPlumbing:
@@ -143,3 +91,8 @@ class TestPlumbing:
 
         assert repro.RuntimeConfig is RuntimeConfig
         assert repro.FaultPlan is FaultPlan
+
+    def test_spatial_join_loose_events_out_still_works(self, tmp_path):
+        path = str(tmp_path / "loose.jsonl")
+        spatial_join(LEFT, RIGHT, runtime=RuntimeConfig(events_out=path))
+        assert any(e["event"] == "QueryEnd" for e in read_events(path))
