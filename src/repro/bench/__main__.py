@@ -1,276 +1,71 @@
-"""Command-line entry: ``python -m repro.bench [scale] [options]``.
+"""Command-line entry: ``python -m repro.bench COMMAND [options]``.
 
-Default mode prints the full reproduction report — Table 1, Table 2,
-Fig 4, Fig 5 — with the paper's numbers inline, at the requested scale
-factor (default 0.12, the calibration scale).  ``--json`` emits the same
-data as a machine-readable document.
+One subcommand per study, each accepting only the flags it reads:
+``report`` (Tables 1-2 and Figs 4-5 with the paper's numbers inline),
+``optimizer`` (plan choices plus the hot-tile-splitting makespan study),
+the ``kernels``/``parallel``/``cache``/``columnar``/``chaos`` wall-clock
+and byte-identity studies, ``profile`` (one query as an Impala-style
+profile tree, optionally with a Chrome trace, event log and profile
+JSON), ``monitor`` (replay an event log) and ``regress`` (gate fresh runs
+against the committed ``BENCH_*.json``).
 
-``--profile`` switches to single-run mode: one workload on one engine,
-rendered as an Impala-style query profile tree.  ``--trace-out PATH``
-additionally captures the run's wall-clock spans and writes a Chrome
-``trace_event`` file (open it at chrome://tracing or
-https://ui.perfetto.dev) containing both the simulated timeline and the
-real one.
-
-``--method auto`` switches to the optimizer study: the stats-driven plan
-chooser prices every join strategy per workload, and the skewed
-``hotspot-nycb`` workload demonstrates the makespan win from hot-tile
-splitting (see ``repro.bench.optimizer_study``).
+The seven studies share :func:`run_study` and ``--json``/``--out``.  Bad
+values, flags a subcommand does not read and a bare
+``python -m repro.bench`` are usage errors (exit 2).
 """
 
 import argparse
+import functools
 import json
 import sys
 
-from repro.bench.optimizer_study import optimizer_study, render_optimizer_study
-from repro.bench.report import (
-    DEFAULT_SCALE,
-    WORKLOAD_ORDER,
-    experiments_json,
-    experiments_report,
+from repro.bench import (
+    cache_study, chaos, columnar_study, kernels, optimizer_study, parallel, report,
 )
+from repro.bench.harness import (
+    Study, positive_float, positive_int, stamp_bench_doc, write_bench_doc,
+)
+from repro.bench.regress import run_regress
+from repro.bench.report import DEFAULT_SCALE, WORKLOAD_ORDER
 from repro.bench.runner import run_engine
 from repro.obs import spans_to_chrome_trace, tracing, write_chrome_trace
 from repro.runtime.config import RuntimeConfig
 
 ENGINES = ("spatialspark", "isp-mc", "isp-standalone")
+STUDIES = (report.STUDY, optimizer_study.STUDY, kernels.STUDY, parallel.STUDY,
+           cache_study.STUDY, columnar_study.STUDY, chaos.STUDY)
 
 
-def _scale_or_mode(value: str):
-    """Positional argument: a float scale factor, or a named bench mode."""
-    if value in ("kernels", "parallel", "monitor", "chaos", "cache",
-                 "columnar", "regress"):
-        return value
+def run_study(study: Study, args: argparse.Namespace) -> int:
+    """Run, stamp, print, write ``--out`` and gate one study."""
+    doc = stamp_bench_doc(study.run(args))
+    if args.json:
+        write_bench_doc(doc, sys.stdout)
+    else:
+        print(study.render(doc))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            write_bench_doc(doc, handle)
+        print(f"wrote {study.name} document to {args.out}", file=sys.stderr)
+    failures = [f"identity check {check} failed" for check, ok in study.identity(doc) if not ok]
+    failures += study.gates(args, doc)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _executors(text: str) -> int | None:
+    if text == "serial":
+        return None
     try:
-        return float(value)
-    except ValueError:
+        return positive_int(text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"expected a scale factor, 'kernels', 'parallel', 'monitor', "
-            f"'chaos', 'cache', 'columnar' or 'regress', got {value!r}"
+            f"expected 'serial' or an integer >= 1, got {text!r}"
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Reproduce the paper's tables and figures, profile "
-        "a single spatial-join query, or (with 'kernels') measure the "
-        "columnar batch kernels' wall-clock against the scalar path.",
-    )
-    parser.add_argument(
-        "scale",
-        nargs="?",
-        type=_scale_or_mode,
-        default=DEFAULT_SCALE,
-        help=f"dataset scale factor (default {DEFAULT_SCALE}), 'kernels' "
-        "for the columnar-kernels microbenchmark, 'parallel' for the "
-        "process-pool runtime benchmark, 'monitor' to replay an "
-        "events.jsonl file as per-worker timelines, 'chaos' for the "
-        "fault-injection equivalence sweep, 'cache' for the "
-        "cross-query cache cold-vs-warm benchmark, 'columnar' for "
-        "the packed-buffer data plane vs object path benchmark, or "
-        "'regress' to gate a fresh run against the committed "
-        "BENCH_*.json baselines (exits nonzero on regression)",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="for monitor mode: path of the events.jsonl file to replay",
-    )
-    parser.add_argument(
-        "--points",
-        type=int,
-        default=100_000,
-        help="probe points for the kernels/parallel/columnar benchmarks "
-        "(default 100000)",
-    )
-    parser.add_argument(
-        "--polygons",
-        type=int,
-        default=2000,
-        help="build-side polygons for the columnar benchmark (default 2000)",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="for columnar mode: repetitions per arm, best-of reported "
-        "(default 3)",
-    )
-    parser.add_argument(
-        "--assert-bytes-ratio",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for columnar mode: exit nonzero unless both the shuffle "
-        "bucket and the broadcast index ship at least RATIOx fewer bytes "
-        "than the pickled object path",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="for kernels/parallel modes: also write the JSON document "
-        "to PATH",
-    )
-    parser.add_argument(
-        "--assert-not-slower",
-        action="store_true",
-        help="for kernels mode: exit nonzero if the batch path is slower "
-        "than the scalar path or any equivalence check fails",
-    )
-    parser.add_argument(
-        "--executors",
-        default=None,
-        help="executor pool size for --profile runs ('serial' or an "
-        "integer >= 1); in parallel mode, comma-separated pool sizes to "
-        "benchmark (default 2,4)",
-    )
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for parallel mode: exit nonzero unless the largest pool "
-        "reaches RATIOx speedup over serial (use on multi-core CI "
-        "runners; meaningless on one core) or any equivalence check fails",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON instead of text (report or profile)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run one workload/engine and print its query profile tree",
-    )
-    parser.add_argument(
-        "--workload",
-        choices=WORKLOAD_ORDER,
-        default="taxi-nycb",
-        help="workload for --profile/--trace-out (default taxi-nycb)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="spatialspark",
-        help="engine for --profile/--trace-out (default spatialspark)",
-    )
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=1,
-        help="cluster size for --profile/--trace-out (default 1)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="write a Chrome trace_event JSON file for the profiled run "
-        "(implies --profile)",
-    )
-    parser.add_argument(
-        "--events-out",
-        metavar="PATH",
-        default=None,
-        help="for --profile runs: write the structured JSONL event log "
-        "to PATH (replay it with 'python -m repro.bench monitor PATH'); "
-        "in chaos mode PATH is a directory receiving one recovery-"
-        "annotated log per (case, fault-rate) cell",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default=None,
-        help="for --profile runs: also write the profile tree as JSON "
-        "to PATH (QueryProfile.to_dict form)",
-    )
-    parser.add_argument(
-        "--straggler-k",
-        type=float,
-        metavar="K",
-        default=2.0,
-        help="for monitor mode: flag tasks slower than K x their stage "
-        "median as stragglers (default 2.0)",
-    )
-    parser.add_argument(
-        "--assert-events-overhead",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for parallel mode: exit nonzero if enabling the event log "
-        "slows the engine run by more than RATIO (e.g. 0.10 for 10%%)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="for chaos mode: the fault plan's seed (default 7)",
-    )
-    parser.add_argument(
-        "--fault-rate",
-        metavar="RATES",
-        default="0.1,0.3",
-        help="for chaos mode: comma-separated per-attempt injection "
-        "probabilities to sweep (default 0.1,0.3)",
-    )
-    parser.add_argument(
-        "--assert-identical",
-        action="store_true",
-        help="for chaos mode: exit nonzero unless every seeded-fault run "
-        "is byte-identical to its fault-free baseline",
-    )
-    parser.add_argument(
-        "--assert-warm-speedup",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for cache mode: exit nonzero unless the best warm-over-cold "
-        "repeated-query speedup reaches RATIOx, or any cold-vs-warm "
-        "equivalence check fails",
-    )
-    parser.add_argument(
-        "--batches",
-        type=int,
-        default=12,
-        help="for cache mode: point batches per repeat-query workload "
-        "(default 12)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="for regress mode: skip the slower fresh benchmark runs and "
-        "check the committed artifacts' internal invariants instead "
-        "(the CI regress-smoke configuration)",
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        metavar="DIR",
-        default=".",
-        help="for regress mode: directory holding the committed "
-        "BENCH_*.json baselines (default: current directory)",
-    )
-    parser.add_argument(
-        "--explain-out",
-        metavar="PATH",
-        default=None,
-        help="for regress mode: write the hotspot EXPLAIN ANALYZE "
-        "report produced by the live invariant check as JSON to PATH",
-    )
-    parser.add_argument(
-        "--method",
-        choices=("auto",),
-        default=None,
-        help="run the stats-driven optimizer study instead of the "
-        "reproduction report (plan choices per workload plus the "
-        "hot-tile-splitting makespan comparison)",
-    )
-    return parser
-
-
 def _profile_run(args: argparse.Namespace) -> int:
-    executors = None if args.executors in (None, "serial") else int(args.executors)
     with tracing() as tracer:
         result = run_engine(
             args.workload,
@@ -278,7 +73,7 @@ def _profile_run(args: argparse.Namespace) -> int:
             args.nodes,
             scale=args.scale,
             profile=True,
-            runtime=RuntimeConfig(executors=executors, events_out=args.events_out),
+            runtime=RuntimeConfig(executors=args.executors, events_out=args.events_out),
         )
     profile = result.profile
     if args.json:
@@ -306,271 +101,105 @@ def _profile_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernels_run(args: argparse.Namespace) -> int:
-    from repro.bench.kernels import (
-        render_kernels,
-        run_kernels_benchmark,
-        write_kernels_json,
-    )
-
-    doc = run_kernels_benchmark(points=args.points)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_kernels(doc))
-    if args.out:
-        write_kernels_json(doc, args.out)
-        print(f"wrote kernels benchmark to {args.out}", file=sys.stderr)
-    identical = all(k["identical"] for k in doc["kernels"].values())
-    identical = identical and doc["equivalence"]["all_identical"]
-    if not identical:
-        print("FAIL: batch and scalar results differ", file=sys.stderr)
-        return 1
-    if args.assert_not_slower:
-        slower = [
-            k["kernel"]
-            for k in doc["kernels"].values()
-            if k["batch_seconds"] > k["scalar_seconds"]
-        ]
-        if slower:
-            print(
-                f"FAIL: batch path slower than scalar for {', '.join(slower)}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _parallel_run(args: argparse.Namespace) -> int:
-    from repro.bench.parallel import (
-        render_parallel,
-        run_parallel_benchmark,
-        write_parallel_json,
-    )
-
-    counts = tuple(
-        int(part) for part in (args.executors or "2,4").split(",") if part
-    )
-    doc = run_parallel_benchmark(points=args.points, executor_counts=counts)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_parallel(doc))
-    if args.out:
-        write_parallel_json(doc, args.out)
-        print(f"wrote parallel benchmark to {args.out}", file=sys.stderr)
-    identical = doc["equivalence"]["all_identical"] and all(
-        pool["identical"]
-        for entry in doc["workloads"].values()
-        for pool in entry["pools"].values()
-    )
-    if not identical:
-        print("FAIL: pooled and serial results differ", file=sys.stderr)
-        return 1
-    if args.assert_speedup is not None:
-        best = max(
-            pool["speedup"]
-            for entry in doc["workloads"].values()
-            for pool in entry["pools"].values()
-        )
-        if best < args.assert_speedup:
-            print(
-                f"FAIL: best pool speedup {best:.2f}x < "
-                f"{args.assert_speedup:.2f}x "
-                f"({doc['available_cores']} core(s) available)",
-                file=sys.stderr,
-            )
-            return 1
-    if args.assert_events_overhead is not None:
-        delta = doc["events_overhead"]["delta_fraction"]
-        if delta > args.assert_events_overhead:
-            print(
-                f"FAIL: event-log overhead {delta * 100.0:.1f}% > "
-                f"{args.assert_events_overhead * 100.0:.1f}%",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _chaos_run(args: argparse.Namespace) -> int:
-    from repro.bench.chaos import render_chaos, run_chaos_benchmark, write_chaos_json
-
-    try:
-        rates = tuple(
-            float(part) for part in str(args.fault_rate).split(",") if part
-        )
-    except ValueError:
-        print(f"bad --fault-rate list {args.fault_rate!r}", file=sys.stderr)
-        return 2
-    doc = run_chaos_benchmark(
-        seed=args.seed, fault_rates=rates, events_dir=args.events_out
-    )
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True, default=str))
-    else:
-        print(render_chaos(doc))
-    if args.out:
-        write_chaos_json(doc, args.out)
-        print(f"wrote chaos benchmark to {args.out}", file=sys.stderr)
-    if args.events_out:
-        print(
-            f"wrote recovery-annotated event logs to {args.events_out}/",
-            file=sys.stderr,
-        )
-    if args.assert_identical and not doc["all_identical"]:
-        print(
-            "FAIL: seeded-fault runs diverged from the fault-free baseline",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cache_run(args: argparse.Namespace) -> int:
-    from repro.bench.cache_study import (
-        render_cache,
-        run_cache_benchmark,
-        write_cache_json,
-    )
-
-    doc = run_cache_benchmark(
-        batches=args.batches, events_out=args.events_out
-    )
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_cache(doc))
-    if args.out:
-        write_cache_json(doc, args.out)
-        print(f"wrote cache benchmark to {args.out}", file=sys.stderr)
-    if args.events_out:
-        print(
-            f"wrote cache-annotated event log to {args.events_out}",
-            file=sys.stderr,
-        )
-    if not doc["all_identical"]:
-        print(
-            "FAIL: cache-on results diverged from the cache-off baseline",
-            file=sys.stderr,
-        )
-        return 1
-    if args.assert_warm_speedup is not None:
-        best = doc["best_warm_speedup"]
-        if best < args.assert_warm_speedup:
-            print(
-                f"FAIL: best warm speedup {best:.2f}x < "
-                f"{args.assert_warm_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _columnar_run(args: argparse.Namespace) -> int:
-    from repro.bench.columnar_study import (
-        render_columnar,
-        run_columnar_benchmark,
-        write_columnar_json,
-    )
-
-    doc = run_columnar_benchmark(
-        points=args.points, polygons=args.polygons, repeat=args.repeat
-    )
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_columnar(doc))
-    if args.out:
-        write_columnar_json(doc, args.out)
-        print(f"wrote columnar benchmark to {args.out}", file=sys.stderr)
-    if not doc["all_identical"]:
-        print("FAIL: columnar and object results differ", file=sys.stderr)
-        return 1
-    if args.assert_speedup is not None and doc["speedup"] < args.assert_speedup:
-        print(
-            f"FAIL: columnar speedup {doc['speedup']:.2f}x < "
-            f"{args.assert_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if args.assert_bytes_ratio is not None:
-        worst = min(
-            doc["shipping"]["shuffle_bytes_ratio"],
-            doc["shipping"]["index_bytes_ratio"],
-        )
-        if worst < args.assert_bytes_ratio:
-            print(
-                f"FAIL: shipped-bytes reduction {worst:.2f}x < "
-                f"{args.assert_bytes_ratio:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _monitor_run(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.obs.events import read_events
     from repro.obs.monitor import monitor_report
 
-    if not args.target:
-        print(
-            "monitor mode needs an events.jsonl path: "
-            "python -m repro.bench monitor <events.jsonl>",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        events = read_events(args.target)
+        events = read_events(args.events)
     except (OSError, ReproError) as error:
-        print(f"cannot replay {args.target}: {error}", file=sys.stderr)
+        print(f"cannot replay {args.events}: {error}", file=sys.stderr)
         return 1
     print(monitor_report(events, k=args.straggler_k))
     return 0
 
 
-def _regress_run(args: argparse.Namespace) -> int:
-    from repro.obs.regress import run_regress
+def _add_profile(commands) -> None:
+    parser = commands.add_parser("profile", help="one workload on one engine as a profile tree")
+    parser.add_argument("--scale", type=positive_float, default=DEFAULT_SCALE,
+                        help=f"dataset scale factor (default {DEFAULT_SCALE})")
+    parser.add_argument("--workload", choices=WORKLOAD_ORDER, default="taxi-nycb",
+                        help="workload (default taxi-nycb)")
+    parser.add_argument("--engine", choices=ENGINES, default="spatialspark",
+                        help="engine (default spatialspark)")
+    parser.add_argument("--nodes", type=positive_int, default=1, help="cluster size (default 1)")
+    parser.add_argument("--executors", type=_executors,
+                        help="executor pool size: 'serial' (default) or an integer >= 1")
+    parser.add_argument("--json", action="store_true", help="print the profile as JSON")
+    parser.add_argument("--trace-out", metavar="PATH",
+                        help="also write a Chrome trace_event JSON file to PATH "
+                        "(open it at chrome://tracing or https://ui.perfetto.dev)")
+    parser.add_argument("--events-out", metavar="PATH",
+                        help="write the structured JSONL event log to PATH (replay it "
+                        "with 'python -m repro.bench monitor PATH')")
+    parser.add_argument("--profile-out", metavar="PATH",
+                        help="also write the profile tree as JSON to PATH "
+                        "(QueryProfile.to_dict form)")
+    parser.set_defaults(handler=_profile_run)
 
-    return run_regress(
-        baseline_dir=args.baseline_dir,
-        quick=args.quick,
-        explain_out=args.explain_out,
-        out=args.out,
+
+def _add_monitor(commands) -> None:
+    parser = commands.add_parser("monitor", help="replay an events.jsonl log as timelines")
+    parser.add_argument("events", metavar="events.jsonl", help="the event log to replay")
+    parser.add_argument("--straggler-k", type=positive_float, metavar="K", default=2.0,
+                        help="flag tasks slower than K x their stage median as stragglers "
+                        "(default 2.0)")
+    parser.set_defaults(handler=_monitor_run)
+
+
+def _add_regress(commands) -> None:
+    parser = commands.add_parser(
+        "regress", help="gate fresh runs against the committed BENCH_*.json baselines"
+    )
+    parser.add_argument("--quick", action="store_true",
+                        help="skip the slower fresh benchmark runs and check the committed "
+                        "artifacts' internal invariants instead (the CI configuration)")
+    parser.add_argument("--baseline-dir", metavar="DIR", default=".",
+                        help="directory holding the committed BENCH_*.json baselines "
+                        "(default: current directory)")
+    parser.add_argument("--explain-out", metavar="PATH",
+                        help="write the hotspot EXPLAIN ANALYZE report produced by the live "
+                        "invariant check as JSON to PATH")
+    parser.add_argument("--out", metavar="PATH",
+                        help="also write the regression table as JSON to PATH")
+    parser.set_defaults(
+        handler=lambda args: run_regress(args.baseline_dir, args.quick, args.explain_out, args.out)
     )
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Reproduce the paper's tables and figures, run one of "
+        "the wall-clock and equivalence studies, profile a single "
+        "spatial-join query, or gate the committed baselines.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--json", action="store_true",
+                        help="print the document as JSON instead of text")
+    shared.add_argument("--out", metavar="PATH",
+                        help="also write the same stamped JSON document to PATH")
+    for study in STUDIES:
+        sub = commands.add_parser(
+            study.name, parents=[shared], help=study.help, description=study.help
+        )
+        study.arguments(sub)
+        sub.set_defaults(handler=functools.partial(run_study, study))
+    _add_profile(commands)
+    _add_monitor(commands)
+    _add_regress(commands)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.scale == "kernels":
-        return _kernels_run(args)
-    if args.scale == "parallel":
-        return _parallel_run(args)
-    if args.scale == "monitor":
-        return _monitor_run(args)
-    if args.scale == "chaos":
-        return _chaos_run(args)
-    if args.scale == "cache":
-        return _cache_run(args)
-    if args.scale == "columnar":
-        return _columnar_run(args)
-    if args.scale == "regress":
-        return _regress_run(args)
-    if args.method == "auto":
-        study = optimizer_study(scale=args.scale, nodes=args.nodes)
-        if args.json:
-            print(json.dumps(study, indent=1))
-        else:
-            print(render_optimizer_study(study))
-        return 0
-    if args.profile or args.trace_out:
-        return _profile_run(args)
-    if args.json:
-        print(json.dumps(experiments_json(scale=args.scale), indent=1))
-        return 0
-    print(experiments_report(scale=args.scale))
-    return 0
+    """Parse ``argv`` and run one subcommand; returns the exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # usage errors exit 2, --help exits 0
+        return stop.code
+    return args.handler(args)
 
 
 if __name__ == "__main__":

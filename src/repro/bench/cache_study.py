@@ -31,11 +31,11 @@ container it was generated in.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import replace
 from typing import Any
 
+from repro.bench.harness import Study
 from repro.bench.runner import run_ispmc, run_spatialspark
 from repro.bench.workloads import materialize_repeat_query
 from repro.cache import CacheManager, get_cache, set_cache
@@ -44,7 +44,7 @@ from repro.geometry.prepared import clear_prepared_cache
 from repro.geometry.wkt import clear_wkt_cache
 from repro.runtime.config import RuntimeConfig
 
-__all__ = ["run_cache_benchmark", "render_cache", "write_cache_json"]
+__all__ = ["run_cache_benchmark", "render_cache", "STUDY"]
 
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 _WORKLOADS = ("taxi-nycb", "taxi-lion-100", "G10M-wwf")
@@ -201,10 +201,37 @@ def render_cache(doc: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_cache_json(doc: dict[str, Any], path: str) -> None:
-    """Write the benchmark document as stable, diff-friendly JSON."""
-    from repro.bench.report import stamp_bench_doc
+def _arguments(parser) -> None:
+    parser.add_argument("--events-out", metavar="PATH",
+                        help="re-run one warm batch with the event log on and write its "
+                        "CacheHit-annotated JSONL to PATH")
+    parser.add_argument("--assert-warm-speedup", type=float, metavar="RATIO",
+                        help="exit nonzero unless the best warm-over-cold repeated-query "
+                        "speedup reaches RATIOx")
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(stamp_bench_doc(doc), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+
+def _identity(doc: dict[str, Any]) -> list[tuple[str, bool]]:
+    """Cache-on rows and simulated seconds equal cache-off, per case."""
+    checks = [("all_identical", doc["all_identical"])]
+    return checks + [
+        (f"identical:{case['workload']}/{case['engine']}", case["identical"])
+        for case in doc["cases"]
+    ]
+
+
+def _gates(args, doc: dict[str, Any]) -> list[str]:
+    best = doc["best_warm_speedup"]
+    if args.assert_warm_speedup is not None and best < args.assert_warm_speedup:
+        return [f"best warm speedup {best:.2f}x < {args.assert_warm_speedup:.2f}x"]
+    return []
+
+
+STUDY = Study(
+    name="cache",
+    help="cross-query cache: cold vs warm repeated-query wall-clock",
+    arguments=_arguments,
+    run=lambda args: run_cache_benchmark(events_out=args.events_out),
+    render=render_cache,
+    identity=_identity,
+    gates=_gates,
+)

@@ -20,11 +20,11 @@ really were injected and survived.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import tempfile
 
+from repro.bench.harness import Study, fault_rates
 from repro.cluster.model import ClusterSpec
 from repro.core.api import JoinConfig, spatial_join
 from repro.geometry import Point, Polygon
@@ -37,7 +37,7 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.faults import DEFAULT_KINDS, FaultPlan
 from repro.spark.context import SparkContext
 
-__all__ = ["run_chaos_benchmark", "render_chaos", "write_chaos_json"]
+__all__ = ["run_chaos_benchmark", "render_chaos", "STUDY"]
 
 DEFAULT_FAULT_RATES = (0.1, 0.3)
 
@@ -329,11 +329,33 @@ def render_chaos(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def write_chaos_json(doc: dict, path: str) -> None:
-    from repro.bench.report import stamp_bench_doc
+def _arguments(parser) -> None:
+    parser.add_argument("--seed", type=int, default=7, help="the fault plan's seed (default 7)")
+    parser.add_argument("--fault-rate", type=fault_rates, metavar="RATES",
+                        default=DEFAULT_FAULT_RATES,
+                        help="comma-separated per-attempt injection probabilities in [0, 1] "
+                        "to sweep (default 0.1,0.3)")
+    parser.add_argument("--assert-identical", action="store_true",
+                        help="exit nonzero unless every seeded-fault run is byte-identical "
+                        "to its fault-free baseline")
+    parser.add_argument("--events-out", metavar="DIR",
+                        help="keep one recovery-annotated event log per (case, fault-rate) "
+                        "cell in DIR, replayable by 'python -m repro.bench monitor'")
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            stamp_bench_doc(doc), handle, indent=1, sort_keys=True, default=str
-        )
-        handle.write("\n")
+
+def _gates(args, doc: dict) -> list[str]:
+    if args.assert_identical and not doc["all_identical"]:
+        return ["seeded-fault runs diverged from the fault-free baseline"]
+    return []
+
+
+STUDY = Study(
+    name="chaos",
+    help="seeded fault injection must leave every answer byte-identical",
+    arguments=_arguments,
+    run=lambda args: run_chaos_benchmark(
+        seed=args.seed, fault_rates=args.fault_rate, events_dir=args.events_out
+    ),
+    render=render_chaos,
+    gates=_gates,
+)

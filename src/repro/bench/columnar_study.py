@@ -29,12 +29,12 @@ the container it was generated in.
 
 from __future__ import annotations
 
-import json
 import pickle
 import random
 import time
 from typing import Any
 
+from repro.bench.harness import Study, positive_int
 from repro.columnar import COLUMNAR_STATS, ColumnBlock, column_from_wkt
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
@@ -43,7 +43,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import clear_wkt_cache, dumps
 from repro.geometry.wkt import loads as wkt_loads
 
-__all__ = ["run_columnar_benchmark", "render_columnar", "write_columnar_json"]
+__all__ = ["run_columnar_benchmark", "render_columnar", "STUDY"]
 
 _SHUFFLE_SAMPLE = 5000
 _SHUFFLE_TILES = 16
@@ -250,10 +250,46 @@ def render_columnar(doc: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_columnar_json(doc: dict[str, Any], path: str) -> None:
-    """Write the benchmark document as stable, diff-friendly JSON."""
-    from repro.bench.report import stamp_bench_doc
+def _arguments(parser) -> None:
+    parser.add_argument("--points", type=positive_int, default=100_000,
+                        help="probe points (default 100000)")
+    parser.add_argument("--assert-speedup", type=float, metavar="RATIO",
+                        help="exit nonzero unless load+index+join is RATIOx faster than "
+                        "the object path")
+    parser.add_argument("--assert-bytes-ratio", type=float, metavar="RATIO",
+                        help="exit nonzero unless both the shuffle bucket and the broadcast "
+                        "index ship at least RATIOx fewer bytes than the pickled object path")
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(stamp_bench_doc(doc), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+
+def _identity(doc: dict[str, Any]) -> list[tuple[str, bool]]:
+    """Coordinates, matches and probe cost totals equal across arms."""
+    return [("all_identical", doc["all_identical"])]
+
+
+def _gates(args, doc: dict[str, Any]) -> list[str]:
+    failures = []
+    if args.assert_speedup is not None and doc["speedup"] < args.assert_speedup:
+        failures.append(
+            f"columnar speedup {doc['speedup']:.2f}x < {args.assert_speedup:.2f}x"
+        )
+    if args.assert_bytes_ratio is not None:
+        worst = min(
+            doc["shipping"]["shuffle_bytes_ratio"],
+            doc["shipping"]["index_bytes_ratio"],
+        )
+        if worst < args.assert_bytes_ratio:
+            failures.append(
+                f"shipped-bytes reduction {worst:.2f}x < {args.assert_bytes_ratio:.2f}x"
+            )
+    return failures
+
+
+STUDY = Study(
+    name="columnar",
+    help="packed-buffer data plane vs the object path: time and shipped bytes",
+    arguments=_arguments,
+    run=lambda args: run_columnar_benchmark(points=args.points),
+    render=render_columnar,
+    identity=_identity,
+    gates=_gates,
+)

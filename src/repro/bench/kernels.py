@@ -15,11 +15,10 @@ Run it with ``python -m repro.bench kernels``; the committed
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from typing import Any
 
+from repro.bench.harness import Study, best_of, positive_int
 from repro.bench.workloads import WORKLOADS, materialize
 from repro.core.broadcast_join import broadcast_spatial_join
 from repro.core.operators import SpatialOperator
@@ -34,7 +33,7 @@ from repro.impala.parser import parse as parse_sql
 from repro.optimizer import choose_plan
 from repro.spark.context import SparkContext
 
-__all__ = ["run_kernels_benchmark", "render_kernels"]
+__all__ = ["run_kernels_benchmark", "render_kernels", "STUDY"]
 
 _EQUIV_SQL = {
     SpatialOperator.WITHIN: (
@@ -68,16 +67,12 @@ def _time_kernel(
     repeat: int,
 ) -> dict[str, Any]:
     """Best-of-``repeat`` wall-clock for the scalar loop vs one bulk probe."""
-    scalar_best = math.inf
-    batch_best = math.inf
-    scalar_result = batch_result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        scalar_result = [index.probe_with_cost(p) for p in points]
-        scalar_best = min(scalar_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        batch_result = index.probe_batch(points, per_row=True)
-        batch_best = min(batch_best, time.perf_counter() - start)
+    scalar_best, scalar_result = best_of(
+        lambda: [index.probe_with_cost(p) for p in points], repeat
+    )
+    batch_best, batch_result = best_of(
+        lambda: index.probe_batch(points, per_row=True), repeat
+    )
     scalar_matches = [m for m, _ in scalar_result]
     scalar_units = [u for _, u in scalar_result]
     batch_matches, batch_units = batch_result
@@ -278,10 +273,38 @@ def render_kernels(doc: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_kernels_json(doc: dict[str, Any], path: str) -> None:
-    """Write the benchmark document as stable, diff-friendly JSON."""
-    from repro.bench.report import stamp_bench_doc
+def _arguments(parser) -> None:
+    parser.add_argument("--points", type=positive_int, default=100_000,
+                        help="probe points (default 100000)")
+    parser.add_argument("--assert-not-slower", action="store_true",
+                        help="exit nonzero if the batch path is slower than the scalar path")
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(stamp_bench_doc(doc), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+
+def _identity(doc: dict[str, Any]) -> list[tuple[str, bool]]:
+    """Batch == scalar per kernel, and the method x substrate matrix."""
+    checks = [
+        (f"identical:{name}", entry["identical"])
+        for name, entry in sorted(doc["kernels"].items())
+    ]
+    return checks + [("equivalence-matrix", doc["equivalence"]["all_identical"])]
+
+
+def _gates(args, doc: dict[str, Any]) -> list[str]:
+    if not args.assert_not_slower:
+        return []
+    return [
+        f"batch path slower than scalar for {entry['kernel']}"
+        for entry in doc["kernels"].values()
+        if entry["batch_seconds"] > entry["scalar_seconds"]
+    ]
+
+
+STUDY = Study(
+    name="kernels",
+    help="columnar batch kernels vs the scalar probe loop, wall-clock",
+    arguments=_arguments,
+    run=lambda args: run_kernels_benchmark(points=args.points),
+    render=render_kernels,
+    identity=_identity,
+    gates=_gates,
+)

@@ -1,4 +1,4 @@
-"""Stats-driven plan study: ``python -m repro.bench --method auto``.
+"""Stats-driven plan study: ``python -m repro.bench optimizer``.
 
 For each study workload the plan chooser samples both inputs, prices
 every join strategy against the simulated cluster, and reports the
@@ -12,6 +12,8 @@ root is a committed run of :func:`optimizer_study`.
 
 from __future__ import annotations
 
+from repro.bench.harness import Study, positive_float, positive_int
+from repro.bench.report import DEFAULT_SCALE
 from repro.bench.workloads import materialize
 from repro.cluster.model import ClusterSpec
 from repro.index.partitioner import FixedGridPartitioner
@@ -23,6 +25,7 @@ __all__ = [
     "SKEW_WORKLOAD",
     "optimizer_study",
     "render_optimizer_study",
+    "STUDY",
 ]
 
 STUDY_WORKLOADS = ("taxi-nycb", "taxi-lion-500", "G10M-wwf", "hotspot-nycb")
@@ -76,24 +79,18 @@ def _skew_section(scale: float, cluster: ClusterSpec) -> dict:
 
 def optimizer_study(scale: float, nodes: int = 4) -> dict:
     """Run the plan chooser over the study workloads plus the skew demo."""
-    from repro.bench.report import stamp_bench_doc
-
     cluster = ClusterSpec(num_nodes=nodes)
-    return stamp_bench_doc(
-        {
-            "scale": scale,
-            "nodes": nodes,
-            "workers": cluster.total_cores,
-            "plans": [
-                _plan_for(name, scale, cluster) for name in STUDY_WORKLOADS
-            ],
-            "skew": _skew_section(scale, cluster),
-        }
-    )
+    return {
+        "scale": scale,
+        "nodes": nodes,
+        "workers": cluster.total_cores,
+        "plans": [_plan_for(name, scale, cluster) for name in STUDY_WORKLOADS],
+        "skew": _skew_section(scale, cluster),
+    }
 
 
 def render_optimizer_study(study: dict) -> str:
-    """Text rendering of :func:`optimizer_study` for the default mode."""
+    """Text rendering of :func:`optimizer_study`."""
     lines = [
         f"Optimizer study (scale factor {study['scale']}, "
         f"{study['nodes']} nodes / {study['workers']} workers)",
@@ -119,3 +116,19 @@ def render_optimizer_study(study: dict) -> str:
             f"{skew['speedup'][scheduler]:7.2f}x"
         )
     return "\n".join(lines)
+
+
+def _arguments(parser) -> None:
+    parser.add_argument("--scale", type=positive_float, default=DEFAULT_SCALE,
+                        help=f"dataset scale factor (default {DEFAULT_SCALE}; the committed "
+                        "BENCH_optimizer.json is --scale 0.12 --nodes 4)")
+    parser.add_argument("--nodes", type=positive_int, default=1, help="cluster size (default 1)")
+
+
+STUDY = Study(
+    name="optimizer",
+    help="plan choice per workload and the hot-tile-splitting makespan study",
+    arguments=_arguments,
+    run=lambda args: optimizer_study(scale=args.scale, nodes=args.nodes),
+    render=render_optimizer_study,
+)

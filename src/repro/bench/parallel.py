@@ -21,13 +21,13 @@ the container it was generated in.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing as mp
 import os
 import time
 from typing import Any
 
+from repro.bench.harness import Study, best_of, pool_sizes, positive_int
 from repro.bench.kernels import _probe_points
 from repro.bench.runner import run_engine
 from repro.bench.workloads import WORKLOADS, materialize
@@ -42,7 +42,7 @@ from repro.runtime.pool import ProcessBackend
 __all__ = [
     "run_parallel_benchmark",
     "render_parallel",
-    "write_parallel_json",
+    "STUDY",
     "substrate_equivalence",
     "events_overhead",
 ]
@@ -75,15 +75,9 @@ def _time_probe_workload(
         for start in range(0, len(points), chunk_size)
     ]
 
-    def serial_run() -> list:
-        return [index.probe_batch(chunk) for chunk in chunks]
-
-    serial_best = math.inf
-    serial_result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        serial_result = serial_run()
-        serial_best = min(serial_best, time.perf_counter() - start)
+    serial_best, serial_result = best_of(
+        lambda: [index.probe_batch(chunk) for chunk in chunks], repeat
+    )
     serial_matches = [matches for matches, _ in serial_result]
 
     pools: dict[str, Any] = {}
@@ -92,12 +86,7 @@ def _time_probe_workload(
         tasks = [
             (lambda chunk=chunk: index.probe_batch(chunk)) for chunk in chunks
         ]
-        pool_best = math.inf
-        pool_result = None
-        for _ in range(repeat):
-            start = time.perf_counter()
-            pool_result = pool.run(tasks)
-            pool_best = min(pool_best, time.perf_counter() - start)
+        pool_best, pool_result = best_of(lambda: pool.run(tasks), repeat)
         pools[str(workers)] = {
             "workers": workers,
             "seconds": pool_best,
@@ -347,10 +336,60 @@ def render_parallel(doc: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_parallel_json(doc: dict[str, Any], path: str) -> None:
-    """Write the benchmark document as stable, diff-friendly JSON."""
-    from repro.bench.report import stamp_bench_doc
+def _arguments(parser) -> None:
+    parser.add_argument("--points", type=positive_int, default=100_000,
+                        help="probe points (default 100000)")
+    parser.add_argument("--executors", type=pool_sizes, default=(2, 4), metavar="N[,N...]",
+                        help="comma-separated pool sizes to benchmark (default 2,4)")
+    parser.add_argument("--assert-speedup", type=float, metavar="RATIO",
+                        help="exit nonzero unless the largest pool reaches RATIOx speedup "
+                        "over serial (use on multi-core CI runners; meaningless on one core)")
+    parser.add_argument("--assert-events-overhead", type=float, metavar="RATIO",
+                        help="exit nonzero if enabling the event log slows the engine run "
+                        "by more than RATIO (e.g. 0.10 for 10%%)")
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(stamp_bench_doc(doc), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+
+def _identity(doc: dict[str, Any]) -> list[tuple[str, bool]]:
+    """Substrate equivalence, and every pool against the serial run."""
+    checks = [("all_identical", doc["equivalence"]["all_identical"])]
+    return checks + [
+        (f"identical:{name}/x{pool['workers']}", pool["identical"])
+        for name, entry in sorted(doc["workloads"].items())
+        for pool in entry["pools"].values()
+    ]
+
+
+def _gates(args, doc: dict[str, Any]) -> list[str]:
+    failures = []
+    if args.assert_speedup is not None:
+        best = max(
+            pool["speedup"]
+            for entry in doc["workloads"].values()
+            for pool in entry["pools"].values()
+        )
+        if best < args.assert_speedup:
+            failures.append(
+                f"best pool speedup {best:.2f}x < {args.assert_speedup:.2f}x "
+                f"({doc['available_cores']} core(s) available)"
+            )
+    if args.assert_events_overhead is not None:
+        delta = doc["events_overhead"]["delta_fraction"]
+        if delta > args.assert_events_overhead:
+            failures.append(
+                f"event-log overhead {delta * 100.0:.1f}% > "
+                f"{args.assert_events_overhead * 100.0:.1f}%"
+            )
+    return failures
+
+
+STUDY = Study(
+    name="parallel",
+    help="serial vs process-pool wall-clock and pool byte-identity",
+    arguments=_arguments,
+    run=lambda args: run_parallel_benchmark(
+        points=args.points, executor_counts=args.executors
+    ),
+    render=render_parallel,
+    identity=_identity,
+    gates=_gates,
+)

@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from repro.bench import cache_study, columnar_study, kernels, optimizer_study, parallel
+from repro.bench.harness import BENCH_SCHEMA_VERSION, Study
 
 __all__ = [
     "CheckRow",
@@ -71,14 +74,7 @@ class CheckRow:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "baseline": self.baseline,
-            "metric": self.metric,
-            "status": self.status,
-            "baseline_value": self.baseline_value,
-            "current_value": self.current_value,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def within_slack(baseline: float, current: float, rel: float,
@@ -106,8 +102,6 @@ def load_baselines(baseline_dir: str = ".") -> tuple[dict, list[CheckRow]]:
     commit every benchmark), unreadable or wrongly-stamped files are
     ``FAIL`` — a foreign or pre-schema baseline must not silently pass.
     """
-    from repro.bench.report import BENCH_SCHEMA_VERSION
-
     docs: dict[str, dict] = {}
     rows: list[CheckRow] = []
     for name, filename in BASELINE_FILES.items():
@@ -200,9 +194,7 @@ def check_explain(explain_out: str | None = None) -> list[CheckRow]:
 
 def check_optimizer(base: dict) -> list[CheckRow]:
     """Exact reproduction of the deterministic optimizer study."""
-    from repro.bench.optimizer_study import optimizer_study
-
-    fresh = optimizer_study(scale=base["scale"], nodes=base["nodes"])
+    fresh = optimizer_study.optimizer_study(scale=base["scale"], nodes=base["nodes"])
     rows: list[CheckRow] = []
     fresh_by_wl = {p["workload"]: p for p in fresh["plans"]}
     for plan in base.get("plans", []):
@@ -245,31 +237,29 @@ def check_optimizer(base: dict) -> list[CheckRow]:
 
 def check_kernels(base: dict, quick: bool) -> list[CheckRow]:
     """Fresh batch-vs-scalar kernel run: identity hard, speedup sloppy."""
-    from repro.bench.kernels import run_kernels_benchmark
-
-    rows: list[CheckRow] = []
-    for kernel, entry in sorted(base.get("kernels", {}).items()):
-        if not entry.get("identical", False):
-            rows.append(
-                CheckRow("kernels", f"baseline:{kernel}", "FAIL",
-                         detail="committed baseline records identical=false")
-            )
+    rows = [
+        CheckRow("kernels", f"baseline:{check}", "FAIL",
+                 detail="committed baseline records a failed identity check")
+        for check, ok in _committed_identity(kernels.STUDY, base)
+        if not ok
+    ]
     points = 20_000 if quick else int(base.get("points", 100_000))
     repeat = 1 if quick else int(base.get("repeat", 3))
-    fresh = run_kernels_benchmark(points=points, repeat=repeat)
-    for kernel, entry in sorted(fresh.get("kernels", {}).items()):
+    fresh = kernels.run_kernels_benchmark(points=points, repeat=repeat)
+    identity = dict(kernels.STUDY.identity(fresh))
+    for kernel, entry in sorted(fresh["kernels"].items()):
         baseline_speedup = (
             base.get("kernels", {}).get(kernel, {}).get("speedup")
         )
         rows.append(
             CheckRow(
                 "kernels", f"identical:{kernel}",
-                "ok" if entry.get("identical") else "FAIL",
-                current_value=entry.get("pairs"),
+                _status(identity[f"identical:{kernel}"]),
+                current_value=entry["pairs"],
                 detail=f"batch pairs == scalar pairs at points={points}",
             )
         )
-        speedup = float(entry.get("speedup", 0.0))
+        speedup = float(entry["speedup"])
         # Generous: a large fraction of the committed speedup or an
         # absolute 1.0 floor — a batch path merely *matching* scalar is
         # already a regression.  Quick mode runs far fewer points than
@@ -283,35 +273,47 @@ def check_kernels(base: dict, quick: bool) -> list[CheckRow]:
         ok = ok and speedup >= 1.0
         rows.append(
             CheckRow(
-                "kernels", f"speedup:{kernel}", "ok" if ok else "FAIL",
+                "kernels", f"speedup:{kernel}", _status(ok),
                 baseline_value=baseline_speedup,
                 current_value=round(speedup, 2),
                 detail=f"fresh batch speedup at points={points}"
                        f" (rel slack {rel:g}, floor 1.0x)",
             )
         )
-    equiv = fresh.get("equivalence", {})
     rows.append(
         CheckRow(
             "kernels", "equivalence-matrix",
-            "ok" if equiv.get("all_identical") else "FAIL",
-            current_value=len(equiv.get("cases", [])),
+            _status(identity["equivalence-matrix"]),
+            current_value=len(fresh["equivalence"]["cases"]),
             detail="engine x method matrix identical to ground truth",
         )
     )
     return rows
 
 
-def _identity_rows(name: str, base: dict, flags: list[tuple[str, bool]],
+def _status(ok: bool) -> str:
+    return "ok" if ok else "FAIL"
+
+
+def _committed_identity(study: Study, base: dict) -> list[tuple[str, bool]]:
+    """``study.identity`` of a committed artifact; a malformed one fails."""
+    try:
+        return study.identity(base)
+    except (KeyError, TypeError, AttributeError):
+        return [("identity", False)]
+
+
+def _identity_rows(study: Study, base: dict,
                    speedups: list[tuple[str, float, float]]) -> list[CheckRow]:
     """Committed-artifact invariants (quick mode's slow-bench stand-in)."""
+    name = study.name
     rows = [
         CheckRow(
-            name, f"baseline:{metric}", "ok" if value else "FAIL",
+            name, f"baseline:{metric}", _status(value),
             current_value=value,
             detail="committed artifact must record result identity",
         )
-        for metric, value in flags
+        for metric, value in _committed_identity(study, base)
     ]
     for metric, value, floor in speedups:
         rows.append(
@@ -325,45 +327,26 @@ def _identity_rows(name: str, base: dict, flags: list[tuple[str, bool]],
     return rows
 
 
-def check_parallel(base: dict) -> list[CheckRow]:
-    equiv = base.get("equivalence", {})
-    flags = [("all_identical", bool(equiv.get("all_identical")))]
-    flags += [
-        (f"identical:{w}/x{pool.get('workers')}", bool(pool.get("identical")))
-        for w, doc in sorted(base.get("workloads", {}).items())
-        for pool in doc.get("pools", {}).values()
-    ]
-    return _identity_rows("parallel", base, flags, [])
-
-
 def check_cache(base: dict, quick: bool) -> list[CheckRow]:
-    flags = [("all_identical", bool(base.get("all_identical")))]
-    flags += [
-        (f"identical:{case.get('workload')}/{case.get('engine')}",
-         bool(case.get("identical")))
-        for case in base.get("cases", [])
-    ]
     # Warm re-runs must beat cold by a wide margin in the committed
     # artifact; 1.5x is far under the recorded ~5-10x but above noise.
     speedups = [
         ("best_warm_speedup", float(base.get("best_warm_speedup", 0.0)), 1.5)
     ]
-    rows = _identity_rows("cache", base, flags, speedups)
+    rows = _identity_rows(cache_study.STUDY, base, speedups)
     if quick:
         rows.append(
             CheckRow("cache", "fresh-run", "skip",
                      detail="--quick: committed-artifact checks only")
         )
     else:
-        from repro.bench.cache_study import run_cache_benchmark
-
-        fresh = run_cache_benchmark(
+        fresh = cache_study.run_cache_benchmark(
             batches=6, scale=0.05, budget_bytes=base.get("budget_bytes")
         )
         rows.append(
             CheckRow(
                 "cache", "fresh-identical",
-                "ok" if fresh.get("all_identical") else "FAIL",
+                _status(all(ok for _, ok in cache_study.STUDY.identity(fresh))),
                 detail="warm results identical to cold at reduced scale",
             )
         )
@@ -381,25 +364,22 @@ def check_cache(base: dict, quick: bool) -> list[CheckRow]:
 
 
 def check_columnar(base: dict, quick: bool) -> list[CheckRow]:
-    flags = [("all_identical", bool(base.get("all_identical")))]
     speedups = [("speedup", float(base.get("speedup", 0.0)), 1.0)]
-    rows = _identity_rows("columnar", base, flags, speedups)
+    rows = _identity_rows(columnar_study.STUDY, base, speedups)
     if quick:
         rows.append(
             CheckRow("columnar", "fresh-run", "skip",
                      detail="--quick: committed-artifact checks only")
         )
     else:
-        from repro.bench.columnar_study import run_columnar_benchmark
-
-        fresh = run_columnar_benchmark(
+        fresh = columnar_study.run_columnar_benchmark(
             points=20_000, polygons=500, repeat=1,
             seed=int(base.get("seed", 42)),
         )
         rows.append(
             CheckRow(
                 "columnar", "fresh-identical",
-                "ok" if fresh.get("all_identical") else "FAIL",
+                _status(all(ok for _, ok in columnar_study.STUDY.identity(fresh))),
                 current_value=fresh.get("matched_rows"),
                 detail="columnar arm identical to object arm at reduced size",
             )
@@ -420,7 +400,7 @@ def collect_checks(baseline_dir: str = ".", quick: bool = False,
     if "kernels" in baselines:
         rows += check_kernels(baselines["kernels"], quick)
     if "parallel" in baselines:
-        rows += check_parallel(baselines["parallel"])
+        rows += _identity_rows(parallel.STUDY, baselines["parallel"], [])
     if "cache" in baselines:
         rows += check_cache(baselines["cache"], quick)
     if "columnar" in baselines:

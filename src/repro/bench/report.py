@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.harness import Study, positive_float
 from repro.bench.runner import (
     RunResult,
     run_isp_standalone,
@@ -22,9 +23,6 @@ from repro.bench.runner import (
 from repro.bench.workloads import materialize
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "GENERATED_BY",
-    "stamp_bench_doc",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
     "BenchCache",
@@ -37,6 +35,8 @@ __all__ = [
     "render_scaling",
     "experiments_report",
     "experiments_json",
+    "render_report",
+    "STUDY",
     "DEFAULT_SCALE",
     "SCALING_NODES",
 ]
@@ -44,31 +44,6 @@ __all__ = [
 DEFAULT_SCALE = 0.12
 SCALING_NODES = (4, 6, 8, 10)
 WORKLOAD_ORDER = ("taxi-nycb", "taxi-lion-100", "taxi-lion-500", "G10M-wwf")
-
-# Every BENCH_*.json artifact is stamped so `bench regress` can reject
-# stale or foreign baselines before comparing numbers against them.
-BENCH_SCHEMA_VERSION = 1
-
-
-def _generated_by() -> str:
-    from repro import __version__
-
-    return f"repro.bench/{__version__}"
-
-
-GENERATED_BY = _generated_by()
-
-
-def stamp_bench_doc(doc: dict) -> dict:
-    """Add the baseline provenance fields to one BENCH document (in place).
-
-    Idempotent, and key-insertion only — stamping never reorders or
-    rewrites measurement fields (the files are dumped with
-    ``sort_keys=True`` anyway).
-    """
-    doc["schema_version"] = BENCH_SCHEMA_VERSION
-    doc["generated_by"] = GENERATED_BY
-    return doc
 
 # The paper's numbers (seconds), for side-by-side reporting.
 PAPER_TABLE1 = {
@@ -222,23 +197,27 @@ def render_scaling(series: dict[str, list[tuple[int, float]]], title: str) -> st
     return "\n".join(lines)
 
 
-def experiments_report(scale: float = DEFAULT_SCALE) -> str:
-    """Full text report: every table and figure, measured vs paper."""
-    cache = BenchCache(scale=scale)
+def render_report(doc: dict) -> str:
+    """Text rendering of :func:`experiments_json`: measured vs paper."""
     parts = [
-        f"Reproduction report (scale factor {scale}; simulated seconds)",
+        f"Reproduction report (scale factor {doc['scale']}; simulated seconds)",
         "",
-        render_table1(table1(cache)),
+        render_table1(doc["table1"]),
         "",
-        render_table2(table2(cache)),
+        render_table2(doc["table2"]),
         "",
-        render_scaling(fig4(cache), "Fig 4: Scalability of SpatialSpark (runtime vs nodes)"),
+        render_scaling(doc["fig4"], "Fig 4: Scalability of SpatialSpark (runtime vs nodes)"),
         "(paper: ~80% parallel efficiency from 4 to 10 nodes)",
         "",
-        render_scaling(fig5(cache), "Fig 5: Scalability of ISP-MC (runtime vs nodes)"),
+        render_scaling(doc["fig5"], "Fig 5: Scalability of ISP-MC (runtime vs nodes)"),
         "(paper: near-linear, with G10M-wwf flattening from 8 to 10 nodes)",
     ]
     return "\n".join(parts)
+
+
+def experiments_report(scale: float = DEFAULT_SCALE) -> str:
+    """Full text report: every table and figure, measured vs paper."""
+    return render_report(experiments_json(scale))
 
 
 def experiments_json(scale: float = DEFAULT_SCALE) -> dict:
@@ -261,3 +240,18 @@ def experiments_json(scale: float = DEFAULT_SCALE) -> dict:
             "table2": {w: list(v) for w, v in PAPER_TABLE2.items()},
         },
     }
+
+
+def _arguments(parser) -> None:
+    parser.add_argument("--scale", type=positive_float, default=DEFAULT_SCALE,
+                        help=f"dataset scale factor (default {DEFAULT_SCALE}, the calibration "
+                        "scale)")
+
+
+STUDY = Study(
+    name="report",
+    help="Tables 1-2 and Figs 4-5 with the paper's numbers inline",
+    arguments=_arguments,
+    run=lambda args: experiments_json(scale=args.scale),
+    render=render_report,
+)

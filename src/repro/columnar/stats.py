@@ -3,7 +3,8 @@
 These numbers are deliberately *not* REGISTRY counters: the byte-identity
 invariant (DESIGN.md §12/§13) requires the columnar and object paths to
 produce identical counter dictionaries, so the honest encoded-bytes
-accounting lives here and is surfaced by ``repro.bench columnar`` only.
+accounting lives here and is surfaced by ``python -m repro.bench columnar``
+only.
 """
 
 from __future__ import annotations

@@ -76,8 +76,9 @@ class JoinConfig:
     fans probe chunks / tile joins out to worker processes (unlike
     ``workers``, which only scales the *simulated* task slots, it changes
     wall-clock time and nothing else), and its ``events_out`` names the
-    JSONL file that receives the structured event log
-    ``python -m repro.bench monitor`` replays.  It also carries the
+    JSONL file that receives the structured event log (the CLI form is
+    ``python -m repro.bench profile --events-out PATH``;
+    ``python -m repro.bench monitor PATH`` replays it).  It also carries the
     retry / speculation budgets, an optional
     :class:`~repro.runtime.faults.FaultPlan` and the cache budget.
 

@@ -22,9 +22,7 @@ reproduction's equivalent:
   Gantt timelines, stage summary tables, straggler detection;
 * :mod:`repro.obs.explain` — ``EXPLAIN`` / ``EXPLAIN ANALYZE``: annotated
   plan trees with per-operator cost estimates, measured-actual overlays
-  and misestimate flags;
-* :mod:`repro.obs.regress` — the perf-regression gate comparing fresh
-  runs against the committed ``BENCH_*.json`` baselines.
+  and misestimate flags.
 
 Profiles are derived from the metrics the engines already accrue
 (:mod:`repro.cluster.metrics`), so they are exact: a profile's per-phase
@@ -58,7 +56,6 @@ from repro.obs.explain import (
 )
 from repro.obs.monitor import monitor_report
 from repro.obs.profile import ProfileNode, QueryProfile
-from repro.obs.regress import CheckRow, render_regress, run_regress
 from repro.obs.registry import REGISTRY, Histogram, MetricsRegistry, collecting
 from repro.obs.tracer import NULL_SPAN, Span, Tracer, get_tracer, set_tracer, tracing
 
@@ -93,7 +90,4 @@ __all__ = [
     "explain",
     "overlay_profile",
     "report_from_profile",
-    "CheckRow",
-    "render_regress",
-    "run_regress",
 ]

@@ -177,8 +177,9 @@ class EventLog:
     :data:`SCHEMA_VERSION`; the stream is flushed every
     :data:`FLUSH_EVERY` events and on :meth:`close`, so a crash loses at
     most the tail of the log while the flush syscall stays off the
-    per-event hot path (the overhead guard in ``repro.bench parallel``
-    bounds the whole sink at <10% of engine wall clock).
+    per-event hot path (``python -m repro.bench parallel
+    --assert-events-overhead 0.10`` bounds the whole sink at <10% of
+    engine wall clock).
     """
 
     def __init__(self, path: str | None = None, enabled: bool = True):

@@ -4,7 +4,8 @@ Everything here consumes a structured event stream
 (:mod:`repro.obs.events`) *after the fact* — the monitor never touches
 live engine state, so the same report can be rendered from the in-memory
 event list of a run that just finished or from a JSONL file written by a
-run last week (``python -m repro.bench monitor events.jsonl``).
+run last week (``python -m repro.bench profile --events-out events.jsonl``,
+replayed by ``python -m repro.bench monitor events.jsonl``).
 
 Four views, stacked by :func:`monitor_report`:
 

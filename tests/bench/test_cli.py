@@ -5,9 +5,18 @@ import json
 import pytest
 
 from repro.bench.__main__ import build_parser, main
+from repro.bench.kernels import run_kernels_benchmark
+from repro.bench.parallel import run_parallel_benchmark
 from repro.bench.report import DEFAULT_SCALE, experiments_json
+from repro.errors import BenchError
 
 SCALE = "0.02"
+
+
+SUBCOMMANDS = (
+    "report", "optimizer", "profile", "kernels", "parallel", "cache",
+    "columnar", "chaos", "monitor", "regress",
+)
 
 
 class TestParser:
@@ -15,26 +24,32 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])
         assert exc.value.code == 0
-        assert "--profile" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert all(name in out for name in SUBCOMMANDS)
 
     def test_defaults(self):
-        args = build_parser().parse_args([])
+        args = build_parser().parse_args(["report"])
         assert args.scale == DEFAULT_SCALE
-        assert not args.json and not args.profile
+        assert not args.json and args.out is None
+        args = build_parser().parse_args(["profile"])
+        assert args.scale == DEFAULT_SCALE
+        assert not args.json and args.executors is None
         assert args.workload == "taxi-nycb"
         assert args.engine == "spatialspark"
         assert args.nodes == 1
 
     def test_scale_positional(self):
-        assert build_parser().parse_args(["0.5"]).scale == 0.5
+        # The scale is a flag of the subcommands that read it; the old
+        # bare scale positional is a usage error.
+        assert build_parser().parse_args(["report", "--scale", "0.5"]).scale == 0.5
+        assert main(["0.5"]) == 2
 
     def test_bad_engine_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine", "warp"])
+            build_parser().parse_args(["profile", "--engine", "warp"])
 
     def test_kernels_positional(self):
         args = build_parser().parse_args(["kernels"])
-        assert args.scale == "kernels"
         assert args.points == 100_000
         assert args.out is None and not args.assert_not_slower
 
@@ -51,6 +66,50 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["warp-speed"])
 
+    def test_bare_invocation_is_usage_error(self, capsys):
+        assert main([]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernels", "--assert-speedup", "5"],
+            ["optimizer", "--trace-out", "t.json"],
+            ["regress", "--json"],
+            ["monitor", "x.jsonl", "--points", "7"],
+        ],
+    )
+    def test_misplaced_flags_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--executors", "foo"],
+            ["parallel", "--executors", "0"],
+            ["chaos", "--fault-rate", "1.5"],
+            # An empty rate list would run only the fault-free baselines
+            # and pass --assert-identical with nothing tested.
+            ["chaos", "--fault-rate", ",", "--assert-identical"],
+            ["kernels", "--points", "0"],
+            ["monitor", "x.jsonl", "--straggler-k", "-1"],
+        ],
+    )
+    def test_bad_values_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: argument" in capsys.readouterr().err
+
+
+class TestRepeat:
+    def test_kernels_repeat_zero_raises(self):
+        with pytest.raises(BenchError, match="repeat"):
+            run_kernels_benchmark(points=50, repeat=0)
+
+    def test_parallel_repeat_zero_raises(self):
+        with pytest.raises(BenchError, match="repeat"):
+            run_parallel_benchmark(points=50, repeat=0)
+
 
 class TestKernelsMode:
     def test_kernels_runs_and_writes(self, tmp_path, capsys):
@@ -66,13 +125,13 @@ class TestKernelsMode:
 
 class TestProfileMode:
     def test_profile_prints_tree(self, capsys):
-        assert main([SCALE, "--profile"]) == 0
+        assert main(["profile", "--scale", SCALE]) == 0
         out = capsys.readouterr().out
         assert "Query Profile: SpatialSpark:taxi-nycb" in out
         assert "simulated total" in out
 
     def test_profile_json(self, capsys):
-        assert main([SCALE, "--profile", "--json"]) == 0
+        assert main(["profile", "--scale", SCALE, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_simulated_seconds"] > 0
         assert sum(doc["phases"].values()) == pytest.approx(
@@ -81,7 +140,7 @@ class TestProfileMode:
 
     def test_trace_out_writes_merged_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        assert main([SCALE, "--profile", "--engine", "isp-mc",
+        assert main(["profile", "--scale", SCALE, "--engine", "isp-mc",
                      "--trace-out", str(path)]) == 0
         trace = json.loads(path.read_text())
         events = trace["traceEvents"]
@@ -105,7 +164,7 @@ class TestEventsAndMonitorMode:
     def test_profile_writes_events_and_profile_json(self, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
         profile_path = tmp_path / "profile.json"
-        assert main([SCALE, "--profile", "--nodes", "2",
+        assert main(["profile", "--scale", SCALE, "--nodes", "2",
                      "--events-out", str(events_path),
                      "--profile-out", str(profile_path)]) == 0
         from repro.obs.events import read_events
@@ -119,7 +178,7 @@ class TestEventsAndMonitorMode:
 
     def test_monitor_replays_written_log(self, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
-        assert main([SCALE, "--profile", "--nodes", "2",
+        assert main(["profile", "--scale", SCALE, "--nodes", "2",
                      "--events-out", str(events_path)]) == 0
         capsys.readouterr()
         assert main(["monitor", str(events_path)]) == 0
@@ -130,7 +189,7 @@ class TestEventsAndMonitorMode:
 
     def test_monitor_straggler_k_knob(self, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
-        assert main([SCALE, "--profile", "--nodes", "2",
+        assert main(["profile", "--scale", SCALE, "--nodes", "2",
                      "--events-out", str(events_path)]) == 0
         capsys.readouterr()
         assert main(["monitor", str(events_path),

@@ -1,4 +1,4 @@
-"""The --method auto optimizer study and its skewed workload."""
+"""The ``optimizer`` study and its skewed workload."""
 
 from __future__ import annotations
 
@@ -65,11 +65,16 @@ class TestOptimizerStudy:
 
 
 class TestCli:
-    def test_parser_accepts_method_auto(self):
-        args = build_parser().parse_args(["0.02", "--method", "auto"])
-        assert args.method == "auto"
+    def test_parser_accepts_optimizer(self):
+        args = build_parser().parse_args(["optimizer", "--scale", "0.02"])
+        assert args.scale == 0.02 and args.nodes == 1
 
-    def test_method_auto_json_mode(self, capsys):
-        assert main(["0.02", "--method", "auto", "--nodes", "2", "--json"]) == 0
+    def test_optimizer_json_and_out_match(self, tmp_path, capsys):
+        path = tmp_path / "optimizer.json"
+        assert main(["optimizer", "--scale", "0.02", "--nodes", "2",
+                     "--json", "--out", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert {"plans", "skew"} <= set(out)
+        # stdout and --out carry the same stamped document
+        assert out["generated_by"].startswith("repro.bench/")
+        assert json.loads(path.read_text()) == out

@@ -7,7 +7,7 @@ import shutil
 import pytest
 
 from repro.bench.__main__ import main
-from repro.obs.regress import (
+from repro.bench.regress import (
     BASELINE_FILES,
     at_least,
     check_optimizer,
@@ -112,7 +112,7 @@ class TestCommittedBaselinesPass:
         _, out, _ = committed
         with open(out) as handle:
             doc = json.load(handle)
-        from repro.obs.regress import CheckRow
+        from repro.bench.regress import CheckRow
 
         rows = [CheckRow(**row) for row in doc["checks"]]
         text = render_regress(rows)
@@ -142,7 +142,7 @@ class TestDoctoredBaselineFails:
         assert row.current_value != "naive"
 
     def test_render_reports_failures(self):
-        from repro.obs.regress import CheckRow
+        from repro.bench.regress import CheckRow
 
         rows = [
             CheckRow("optimizer", "plan:x", "ok"),
@@ -173,7 +173,7 @@ class TestCli:
 class TestStampedBenchDocs:
     def test_stamp_is_idempotent(self):
         from repro import __version__
-        from repro.bench.report import (
+        from repro.bench.harness import (
             BENCH_SCHEMA_VERSION,
             stamp_bench_doc,
         )
